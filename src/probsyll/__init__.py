@@ -15,18 +15,15 @@ from .intervals import ExtensionInterval, OpenInterval
 from .infinitesimals import EPS, EpsRational
 from .coherence import (
     LinearSystem, BoxAssessment, I0Result, InfeasibleSystem,
-    build_system, solve_feasible, compute_I0,
+    build_system, compute_I0, coherence_witness,
     check_coherence, check_g_coherence, check_t_coherence_grid,
 )
+from .simplex import Infeasible, Unbounded
 from .propagation import (
-    LPProblem, IncoherentPremises, Infeasible, Unbounded,
-    lp_optimize, extension_bounds, extension_union_sampled,
+    IncoherentPremises, extension_bounds, extension_union_sampled,
 )
 from .figures import (
     Figure, NotGCoherent, canonical_family,
-    figure1_bounds, figure1_box_bounds,
-    figure2_bounds, figure2_box_bounds,
-    figure3_bounds, figure3_box_bounds,
     figure_bounds, figure_box_bounds, sigma_with_openness,
 )
 from .syllogisms import (

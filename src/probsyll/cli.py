@@ -31,9 +31,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .coherence import (BoxAssessment, check_coherence, check_g_coherence,
-                        grid_points, solve_feasible, build_system)
+                        coherence_witness, grid_points)
 from .events import (ConditionalEvent, EventError, ParseError,
-                     enumerate_constituents, parse_conditional, parse_event)
+                     parse_conditional, parse_event)
 from .figures import Figure, NotGCoherent
 from .intervals import ExtensionInterval, OpenInterval
 from .propagation import (IncoherentPremises, extension_bounds,
@@ -113,7 +113,11 @@ def load_problem(path: str) -> ProblemFile:
                 name, _, expr = line.partition("=")
                 if not _:
                     raise ProblemFileError(f"line {lineno}: expected NAME = formula")
-                problem.events[name.strip()] = parse_event(expr).substitute(problem.events)
+                name = name.strip()
+                expansion = parse_event(expr).substitute(problem.events)
+                if name in expansion.atoms():
+                    raise ProblemFileError(f"line {lineno}: {name} is defined in terms of itself")
+                problem.events[name] = expansion
             elif section == "assess":
                 if " in " in line:
                     lhs, rhs = line.rsplit(" in ", 1)
@@ -170,12 +174,8 @@ def cmd_check(path: str, fmt: str = "text") -> int:
         raise ProblemFileError("no [assess] section")
     family = problem.family
     if problem.is_precise:
-        values = problem.point_values()
-        coherent = check_coherence(family, values)
-        witness = None
-        if coherent:
-            table = enumerate_constituents(family)
-            witness = solve_feasible(build_system(table, values))
+        witness = coherence_witness(family, problem.point_values())
+        coherent = witness is not None
         report = {
             "mode": "precise",
             "coherent": coherent,

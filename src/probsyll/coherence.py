@@ -1,19 +1,23 @@
 """Coherence of precise assessments and g-/t-coherence of box assessments.
 
-A precise assessment P on a family F is coherent iff the linear system (S)
+Coherence, g-coherence and the extension bounds of `propagation` share one
+construction, a `LinearSystem` over the masses lambda_h of the constituents
+C_1..C_m of a family, and one recursion on I0 = {j : max Phi_j = 0}, the
+antecedents that every solution forces to zero probability (Phi_j is the
+total mass of the constituents inside H_j).  A precise assessment P on F is
+coherent iff its system (S)
 
     sum_h q_hj lambda_h = p_j   (j = 1..n),   sum_h lambda_h = 1,   lambda >= 0
 
-is solvable and, whenever the set I0 = {j : max Phi_j = 0} of antecedents that
-every solution forces to zero probability is nonempty, the sub-assessment P0
-restricted to those events is itself coherent (Phi_j is the total mass of the
-constituents inside H_j).  I0 is always a strict subset of the indices when
-solutions exist, so the recursion terminates.
+is solvable and, whenever I0 is nonempty, the sub-assessment restricted to
+those events is itself coherent; I0 is a strict subset of the indices when
+solutions exist, so the recursion terminates.  A box is g-coherent iff the
+same holds with the relaxed rows l_j Phi_j <= sum_{E_jH_j} lambda <= u_j Phi_j.
 
-The default check uses the subset variant of the criterion with the singleton
-{phase-1 witness}: I0' = {j : Phi_j(witness) = 0}; the variant is an exact
-characterization for any nonempty subset of the solution set, and avoids one
-LP per index.  method="full" runs the literal max-based recursion instead.
+The default precise check uses the subset variant of the criterion with the
+singleton {phase-1 witness}: I0' = {j : Phi_j(witness) = 0}; the variant is an
+exact characterization for any nonempty subset of the solution set, and avoids
+one LP per index.  method="full" runs the literal max-based recursion instead.
 """
 
 from __future__ import annotations
@@ -21,12 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .events import ConstituentTable, enumerate_constituents, points_for
 from .infinitesimals import EPS, EpsRational
 from .intervals import OpenInterval
-from .simplex import feasible_point, solve_lp
+from .simplex import Infeasible, feasible_point, solve_lp
+
+#: Cap on the number of points `grid_points` may enumerate; each point costs
+#: at least one coherence check.
+MAX_GRID_POINTS = 100_000
 
 
 class CoherenceError(Exception):
@@ -39,14 +48,31 @@ class InfeasibleSystem(CoherenceError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equality system (S): n assessment rows plus the normalization row."""
+    """rows[i] . lambda (senses[i]) rhs[i] over the masses of table's constituents."""
 
-    rows: tuple  # (n+1) x m matrix; rows[j][h] = q_hj, last row all ones
-    rhs: tuple  # (p_1, ..., p_n, 1)
+    table: ConstituentTable
+    rows: tuple  # one entry per constituent C_1..C_m in each row
+    senses: tuple  # "=", "<=" or ">=" per row
+    rhs: tuple
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return self.table.m
+
+    def witness(self) -> Optional[list]:
+        """A solution (exact phase-1 simplex), or None if there is none."""
+        return feasible_point(self.rows, self.senses, self.rhs)
+
+    def maximum(self, j: int):
+        """max Phi_j, the mass inside H_j, over the solutions; raises Infeasible."""
+        return solve_lp(self.table.indicators(j)[1], self.rows, self.senses, self.rhs,
+                        maximize=True).value
+
+
+def homogeneous_row(table: ConstituentTable, j: int, p) -> tuple:
+    """Row of  sum_{E_jH_j} lambda - p sum_{H_j} lambda  over the constituents."""
+    a, phi = table.indicators(j)
+    return tuple(ai - p * pi for ai, pi in zip(a, phi))
 
 
 @dataclass(frozen=True)
@@ -61,58 +87,47 @@ def build_system(table: ConstituentTable, assessment) -> LinearSystem:
     n = len(table.family)
     rows = [tuple(q[j] for q in points) for j in range(n)]
     rows.append((1,) * table.m)
-    return LinearSystem(tuple(rows), tuple(list(assessment) + [1]))
+    return LinearSystem(table, tuple(rows), ("=",) * (n + 1),
+                        tuple(list(assessment) + [1]))
 
 
-def solve_feasible(system: LinearSystem) -> Optional[list]:
-    """A solution of (S), or None if infeasible (exact phase-1 simplex)."""
-    return feasible_point(system.rows, ["="] * len(system.rows), system.rhs)
-
-
-def _phi_columns(table: ConstituentTable, j: int) -> list:
-    """Indicator over constituents of membership in H_j."""
-    return [0 if c.cells[j] is None else 1 for c in table.constituents]
-
-
-def compute_I0(system: LinearSystem, table: ConstituentTable) -> I0Result:
+def compute_I0(system: LinearSystem) -> I0Result:
     """Maxima M_j of Phi_j over the solution set, and I0 = {j : M_j = 0}."""
-    if solve_feasible(system) is None:
-        raise InfeasibleSystem("system (S) is unsolvable")
-    senses = ["="] * len(system.rows)
-    maxima = []
-    for j in range(len(table.family)):
-        sol = solve_lp(_phi_columns(table, j), system.rows, senses, system.rhs,
-                       maximize=True)
-        maxima.append(sol.value)
-    zero = tuple(j for j, mj in enumerate(maxima) if mj == 0)
-    return I0Result(tuple(maxima), zero)
+    try:
+        maxima = tuple(system.maximum(j) for j in range(len(system.table.family)))
+    except Infeasible as exc:
+        raise InfeasibleSystem("the system is unsolvable") from exc
+    return I0Result(maxima, tuple(j for j, mj in enumerate(maxima) if mj == 0))
 
 
-def check_coherence(family: Iterable, assessment: Sequence, method: str = "witness") -> bool:
-    """Coherence of a precise assessment via the I0 reduction."""
+def coherence_witness(family: Iterable, assessment: Sequence,
+                      method: str = "witness") -> Optional[list]:
+    """A solution of the top-level system (S) if the assessment is coherent, else None."""
     family = tuple(family)
     values = [Fraction(v) if not isinstance(v, EpsRational) else v for v in assessment]
     table = enumerate_constituents(family)
     system = build_system(table, values)
-    witness = solve_feasible(system)
+    witness = system.witness()
     if witness is None:
-        return False
+        return None
     if method == "witness":
-        zero = [
-            j for j in range(len(family))
-            if sum(l for l, c in zip(witness, table.constituents)
-                   if c.cells[j] is not None) == 0
-        ]
+        # Masses are nonnegative: Phi_j(witness) = 0 iff no H_j block has mass.
+        zero = [j for j in range(len(family))
+                if not any(l for l, h in zip(witness, table.indicators(j)[1]) if h)]
     elif method == "full":
-        zero = list(compute_I0(system, table).zero_set)
+        zero = list(compute_I0(system).zero_set)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not zero:
-        return True
-    sub_family = tuple(family[j] for j in zero)
-    sub_values = [values[j] for j in zero]
-    assert len(sub_family) < len(family)
-    return check_coherence(sub_family, sub_values, method)
+    if zero:
+        assert len(zero) < len(family)
+        if not check_coherence([family[j] for j in zero], [values[j] for j in zero], method):
+            return None
+    return witness
+
+
+def check_coherence(family: Iterable, assessment: Sequence, method: str = "witness") -> bool:
+    """Coherence of a precise assessment via the I0 reduction."""
+    return coherence_witness(family, assessment, method) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +188,19 @@ class BoxAssessment:
         return len(self.lowers)
 
 
-def _relaxed_rows(table: ConstituentTable, lowers, uppers):
-    """l_j Phi_j <= sum_{E_jH_j} lambda <= u_j Phi_j rows, plus normalization."""
-    rows, senses, rhs = [], [], []
-    for j, (lo, hi) in enumerate(zip(lowers, uppers)):
-        a = [1 if c.cells[j] else 0 for c in table.constituents]
-        phi = _phi_columns(table, j)
-        rows.append([ai - lo * pi for ai, pi in zip(a, phi)])
-        senses.append(">=")
-        rhs.append(0)
-        rows.append([ai - hi * pi for ai, pi in zip(a, phi)])
-        senses.append("<=")
-        rhs.append(0)
-    rows.append([1] * table.m)
-    senses.append("=")
-    rhs.append(1)
-    return rows, senses, rhs
-
-
 def _g_coherent(family: tuple, lowers: list, uppers: list) -> bool:
-    """Relaxed-system feasibility with the I0-style recursion on the sub-box."""
+    """Relaxed-system solvability with the I0 recursion on the sub-box."""
     table = enumerate_constituents(family)
-    rows, senses, rhs = _relaxed_rows(table, lowers, uppers)
-    if feasible_point(rows, senses, rhs) is None:
+    rows, senses = [], []
+    for j, (lo, hi) in enumerate(zip(lowers, uppers)):
+        rows += [homogeneous_row(table, j, lo), homogeneous_row(table, j, hi)]
+        senses += [">=", "<="]
+    system = LinearSystem(table, tuple(rows) + ((1,) * table.m,),
+                          tuple(senses) + ("=",), (0,) * len(rows) + (1,))
+    try:
+        zero = compute_I0(system).zero_set
+    except InfeasibleSystem:
         return False
-    zero = []
-    for j in range(len(family)):
-        mj = solve_lp(_phi_columns(table, j), rows, senses, rhs, maximize=True).value
-        if mj == 0:
-            zero.append(j)
     if not zero:
         return True
     assert len(zero) < len(family)
@@ -215,25 +214,28 @@ def _g_coherent(family: tuple, lowers: list, uppers: list) -> bool:
 def check_g_coherence(family: Iterable, box: BoxAssessment) -> bool:
     """True iff some precise point of the box (respecting openness) is coherent.
 
-    Open faces are handled by shrinking them an infinitesimal amount and
-    running the whole decision exactly over Q(eps); the box is g-coherent iff
-    some eps-shrunk closed sub-box is, and signs in Q(eps) are the eventual
-    signs for small real eps.
+    Open faces are shrunk an infinitesimal amount and the decision runs exactly
+    over Q(eps); the box is g-coherent iff some eps-shrunk closed sub-box is,
+    and signs in Q(eps) are the eventual signs for small real eps.  Closed
+    faces stay rational, so a closed box is decided over Q alone.
     """
-    family = tuple(family)
-    if not box.has_open_faces:
-        return _g_coherent(family, list(box.lowers), list(box.uppers))
-    lowers = [EpsRational(lo) + EPS if lo_o else EpsRational(lo)
-              for lo, lo_o in zip(box.lowers, box.lower_open)]
-    uppers = [EpsRational(hi) - EPS if hi_o else EpsRational(hi)
-              for hi, hi_o in zip(box.uppers, box.upper_open)]
-    return _g_coherent(family, lowers, uppers)
+    lowers = [lo + EPS if lo_o else lo for lo, lo_o in zip(box.lowers, box.lower_open)]
+    uppers = [hi - EPS if hi_o else hi for hi, hi_o in zip(box.uppers, box.upper_open)]
+    return _g_coherent(tuple(family), lowers, uppers)
 
 
 def grid_points(box: BoxAssessment, grid_density: int):
-    """Cartesian rational grid inside the box, skipping open endpoints."""
+    """Cartesian rational grid inside the box, skipping open endpoints.
+
+    Raises ValueError when the grid would have more than MAX_GRID_POINTS points.
+    """
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
+    count = prod(1 if lo == hi else max(1, grid_density - lo_o - hi_o)
+                 for lo, hi, lo_o, hi_o in zip(box.lowers, box.uppers,
+                                               box.lower_open, box.upper_open))
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {count} points exceeds {MAX_GRID_POINTS}")
     axes = []
     for lo, hi, lo_o, hi_o in zip(box.lowers, box.uppers, box.lower_open, box.upper_open):
         if lo == hi:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Optional
@@ -22,6 +23,10 @@ from typing import Iterable, Mapping, Optional
 #: Cap on the number of distinct atoms in a family; constituent generation is a
 #: brute-force sweep over 2**k assignments.
 MAX_ATOMS = 12
+
+#: Cap on the depth of a formula tree, and on nested parentheses and negations
+#: while parsing: formulas are walked recursively.
+MAX_DEPTH = 100
 
 
 class EventError(Exception):
@@ -94,13 +99,24 @@ class Event:
         )
 
     def substitute(self, definitions: Mapping[str, "Event"]) -> "Event":
-        """Replace atoms by named sub-formulas (used by the CLI's [events] section)."""
-        if self.op == "atom":
-            repl = definitions.get(self.name)
-            return repl.substitute(definitions) if repl is not None else self
-        if not self.args:
-            return self
-        return Event(self.op, self.name, tuple(a.substitute(definitions) for a in self.args))
+        """Replace atoms by named sub-formulas (used by the CLI's [events] section).
+
+        Raises ParseError when the result nests deeper than MAX_DEPTH, each
+        replaced name counting as one more level, so a definition that refers
+        to itself cannot recurse forever.
+        """
+        def walk(event, depth):
+            if depth > MAX_DEPTH:
+                raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels")
+            if event.op == "atom":
+                repl = definitions.get(event.name)
+                return event if repl is None else walk(repl, depth + 1)
+            if not event.args:
+                return event
+            return Event(event.op, event.name,
+                         tuple(walk(a, depth + 1) for a in event.args))
+
+        return walk(self, 1)
 
     def _render(self, parent_prec: int) -> str:
         prec = {"or": 1, "and": 2, "not": 3, "atom": 4, "top": 4, "bot": 4}[self.op]
@@ -189,26 +205,28 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> Event:
-        node = self.term()
+    def expr(self, depth=0) -> Event:
+        node = self.term(depth)
         while self.peek() == "|":
             self.take()
-            node = node | self.term()
+            node = node | self.term(depth)
         return node
 
-    def term(self) -> Event:
-        node = self.factor()
+    def term(self, depth) -> Event:
+        node = self.factor(depth)
         while self.peek() == "&":
             self.take()
-            node = node & self.factor()
+            node = node & self.factor(depth)
         return node
 
-    def factor(self) -> Event:
+    def factor(self, depth) -> Event:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels")
         tok = self.take()
         if tok == "!":
-            return ~self.factor()
+            return ~self.factor(depth + 1)
         if tok == "(":
-            node = self.expr()
+            node = self.expr(depth + 1)
             if self.take() != ")":
                 raise ParseError("unbalanced parentheses")
             return node
@@ -219,12 +237,27 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
-def parse_event(text: str) -> Event:
-    parser = _Parser(_tokenize(text))
+def _check_depth(event: Event) -> Event:
+    """The formula itself, or ParseError if its tree is deeper than MAX_DEPTH."""
+    level, depth = [event], 0
+    while level:
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels")
+        level = [a for e in level for a in e.args]
+    return event
+
+
+def _parse(tokens, text: str) -> Event:
+    parser = _Parser(tokens)
     node = parser.expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input at {parser.peek()!r} in {text!r}")
-    return node
+    return _check_depth(node)
+
+
+def parse_event(text: str) -> Event:
+    return _parse(_tokenize(text), text)
 
 
 def parse_conditional(text: str) -> ConditionalEvent:
@@ -243,15 +276,7 @@ def parse_conditional(text: str) -> ConditionalEvent:
             split = idx
     if split is None:
         raise ParseError(f"missing '/' in conditional event {text!r}")
-
-    def _parse(tok_slice):
-        parser = _Parser(tok_slice)
-        node = parser.expr()
-        if parser.peek() is not None:
-            raise ParseError(f"trailing input in {text!r}")
-        return node
-
-    return ConditionalEvent(_parse(tokens[:split]), _parse(tokens[split + 1:]))
+    return ConditionalEvent(_parse(tokens[:split], text), _parse(tokens[split + 1:], text))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +313,16 @@ class ConstituentTable:
     def m(self) -> int:
         return len(self.constituents)
 
+    def indicators(self, j: int) -> tuple:
+        """0/1 rows over C_1..C_m of membership in E_jH_j and in H_j; built per
+        call, since cached tables holding them would grow by 2n rows of m."""
+        cells = [c.cells[j] for c in self.constituents]
+        return [1 if v else 0 for v in cells], [0 if v is None else 1 for v in cells]
+
     def describe(self, constituent: Constituent) -> str:
         """Human-readable conjunction for the representative world, e.g. 'A !B C'."""
         rep = constituent.representative
         return " ".join(a if v else "!" + a for a, v in zip(self.atoms, rep))
-
-
-_TABLE_CACHE: dict = {}
 
 
 def enumerate_constituents(family: Iterable[ConditionalEvent]) -> ConstituentTable:
@@ -308,10 +336,11 @@ def enumerate_constituents(family: Iterable[ConditionalEvent]) -> ConstituentTab
     family = tuple(family)
     if not family:
         raise EventError("empty family")
-    cached = _TABLE_CACHE.get(family)
-    if cached is not None:
-        return cached
+    return _table(family)
 
+
+@lru_cache(maxsize=1024)
+def _table(family: tuple) -> ConstituentTable:
     names = sorted(set().union(*(ce.atoms() for ce in family)))
     if len(names) > MAX_ATOMS:
         raise EventError(f"too many atoms ({len(names)} > {MAX_ATOMS})")
@@ -332,11 +361,7 @@ def enumerate_constituents(family: Iterable[ConditionalEvent]) -> ConstituentTab
         for i, (cells, worlds) in enumerate(blocks.items())
     )
     residual = Constituent(0, tuple(residual_worlds), void) if residual_worlds else None
-    table = ConstituentTable(family, tuple(names), constituents, residual)
-    if len(_TABLE_CACHE) > 1024:
-        _TABLE_CACHE.clear()
-    _TABLE_CACHE[family] = table
-    return table
+    return ConstituentTable(family, tuple(names), constituents, residual)
 
 
 def points_for(table: ConstituentTable, assessment) -> list:

@@ -109,51 +109,24 @@ def _box_corners(box):
     return corners
 
 
-def figure1_bounds(x, y, t) -> ExtensionInterval:
-    """[z', z''] for P(C|A): t=0 -> [0,1]; else
-    [max{0, xy - (1-t)(1-x)/t}, min{1, (1-x)(1-y) + x/t}]."""
-    x, y, t = Fraction(x), Fraction(y), Fraction(t)
-    _check_unit(x, y, t)
-    return ExtensionInterval(*_fig1_box(x, x, y, y, t, t))
-
-
-def figure1_box_bounds(box) -> ExtensionInterval:
-    """Interval version of figure1_bounds; box = ((x1,x2), (y1,y2), (t1,t2))."""
-    return ExtensionInterval(*_fig1_box(*_box_corners(box)))
-
-
-def figure2_bounds(x, y, t) -> ExtensionInterval:
-    """[z', z''] for P(!C|A): [0,1] if t <= x+yt <= 1;
-    [(x+yt-1)/(tx), 1] if x+yt > 1; [(t-x-yt)/(t(1-x)), 1] if x+yt < t."""
-    x, y, t = Fraction(x), Fraction(y), Fraction(t)
-    _check_unit(x, y, t)
-    return ExtensionInterval(*_fig2_box(x, x, y, y, t, t))
-
-
-def figure2_box_bounds(box) -> ExtensionInterval:
-    return ExtensionInterval(*_fig2_box(*_box_corners(box)))
-
-
-def figure3_bounds(x, y, t) -> ExtensionInterval:
-    """[z', z''] for P(C|A): z' = max{0, t(x+y-1)}/(1-t(1-y)) style cases,
-    z'' = 1 unless t(y-x) > 0."""
-    x, y, t = Fraction(x), Fraction(y), Fraction(t)
-    _check_unit(x, y, t)
-    return ExtensionInterval(*_fig3_box(x, x, y, y, t, t))
-
-
-def figure3_box_bounds(box) -> ExtensionInterval:
-    return ExtensionInterval(*_fig3_box(*_box_corners(box)))
-
-
 def figure_bounds(figure: Figure, x, y, t) -> ExtensionInterval:
-    return {Figure.I: figure1_bounds, Figure.II: figure2_bounds,
-            Figure.III: figure3_bounds}[figure](x, y, t)
+    """[z', z''] for the figure's target given the precise premises (x, y, t).
+
+    Figure I, P(C|A): t = 0 -> [0, 1]; else
+        [max{0, xy - (1-t)(1-x)/t}, min{1, (1-x)(1-y) + x/t}].
+    Figure II, P(!C|A): [0, 1] if t <= x+yt <= 1;
+        [(x+yt-1)/(tx), 1] if x+yt > 1; [(t-x-yt)/(t(1-x)), 1] if x+yt < t.
+    Figure III, P(C|A): z' = max{0, t(x+y-1)}/(1-t(1-y)) style cases,
+        z'' = 1 unless t(y-x) > 0.
+    """
+    x, y, t = Fraction(x), Fraction(y), Fraction(t)
+    _check_unit(x, y, t)
+    return ExtensionInterval(*_BOX_FORMULAS[figure](x, x, y, y, t, t))
 
 
 def figure_box_bounds(figure: Figure, box) -> ExtensionInterval:
-    return {Figure.I: figure1_box_bounds, Figure.II: figure2_box_bounds,
-            Figure.III: figure3_box_bounds}[figure](box)
+    """Interval version of figure_bounds; box = ((x1,x2), (y1,y2), (t1,t2))."""
+    return ExtensionInterval(*_BOX_FORMULAS[figure](*_box_corners(box)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +153,10 @@ def sigma_with_openness(figure: Figure, box: Sequence[OpenInterval]) -> OpenInte
     for iv in box:
         if iv.lower < 0 or iv.upper > 1:
             raise NotGCoherent(f"component {iv} outside [0, 1]")
-    if not any(iv.lower_open or iv.upper_open for iv in box):
-        bounds = _BOX_FORMULAS[figure](
-            *(c for iv in box for c in (iv.lower, iv.upper)))
-        lo, lo_open = _endpoint(bounds[0])
-        hi, hi_open = _endpoint(bounds[1])
-        return OpenInterval(lo, hi, lo_open, hi_open)
     corners = []
     for iv in box:
-        lo = EpsRational(iv.lower) + EPS if iv.lower_open else EpsRational(iv.lower)
-        hi = EpsRational(iv.upper) - EPS if iv.upper_open else EpsRational(iv.upper)
-        corners.extend((lo, hi))
+        corners += (iv.lower + EPS if iv.lower_open else iv.lower,
+                    iv.upper - EPS if iv.upper_open else iv.upper)
     bounds = _BOX_FORMULAS[figure](*corners)
     lo, lo_open = _endpoint(bounds[0])
     hi, hi_open = _endpoint(bounds[1])

@@ -21,59 +21,18 @@ finite (at most n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .coherence import BoxAssessment, check_coherence, grid_points
+from .coherence import (BoxAssessment, LinearSystem, check_coherence, grid_points,
+                        homogeneous_row)
 from .events import ConditionalEvent, enumerate_constituents
 from .intervals import ExtensionInterval
-from .simplex import Infeasible, LPSolution, Unbounded, solve_lp
-
-__all__ = [
-    "IncoherentPremises", "LPProblem", "lp_optimize",
-    "extension_bounds", "extension_union_sampled",
-    "Infeasible", "Unbounded",
-]
+from .simplex import Infeasible, solve_lp
 
 
 class IncoherentPremises(Exception):
     """The premise assessment is not coherent; no extension interval exists."""
-
-
-@dataclass(frozen=True)
-class LPProblem:
-    """A Step-2 style program: optimize objective . lambda over the rows."""
-
-    objective: tuple
-    rows: tuple
-    senses: tuple
-    rhs: tuple
-    maximize: bool = False
-
-
-def lp_optimize(problem: LPProblem) -> LPSolution:
-    """Exact optimum and deterministic witness (Bland's rule)."""
-    return solve_lp(list(problem.objective), [list(r) for r in problem.rows],
-                    list(problem.senses), list(problem.rhs),
-                    maximize=problem.maximize)
-
-
-def _indicator(table, j, member):
-    """Column indicators over constituents: member=True -> inside E_jH_j."""
-    if member:
-        return [1 if c.cells[j] else 0 for c in table.constituents]
-    return [0 if c.cells[j] is None else 1 for c in table.constituents]
-
-
-def _premise_rows(table, values, n):
-    """Homogeneous rows  sum_{E_jH_j} l - p_j sum_{H_j} l = 0  for j = 1..n."""
-    rows = []
-    for j in range(n):
-        a = _indicator(table, j, True)
-        phi = _indicator(table, j, False)
-        rows.append([ai - values[j] * pi for ai, pi in zip(a, phi)])
-    return rows
 
 
 def _probe(family, values, target, probe, maximize):
@@ -81,52 +40,34 @@ def _probe(family, values, target, probe, maximize):
     vals = list(values)
     for _ in range(len(family) + 1):
         table = enumerate_constituents(tuple(fam) + (target,))
-        n = len(fam)
-        t = n  # target index in the extended family
-        rows = _premise_rows(table, vals, n)
-        a_t = _indicator(table, t, True)
-        phi_t = _indicator(table, t, False)
-        rows_with_target = rows + [
-            [ai - probe * pi for ai, pi in zip(a_t, phi_t)],
-            [1] * table.m,
-        ]
-        senses = ["="] * len(rows_with_target)
-        rhs = [0] * (n + 1) + [1]
+        n = len(fam)  # the target's index in the extended family
+        premises = [homogeneous_row(table, j, vals[j]) for j in range(n)]
+        system = LinearSystem(table,
+                              tuple(premises) + (homogeneous_row(table, n, probe),
+                                                 (1,) * table.m),
+                              ("=",) * (n + 2), (0,) * (n + 1) + (1,))
         try:
             # Step 1 solvability and the Step-3 maximum M_{n+1} in one solve.
-            m_t = solve_lp(phi_t, rows_with_target, senses, rhs, maximize=True).value
+            m_t = system.maximum(n)
         except Infeasible:
-            m_t = None
-        if m_t is not None:
-            # Step 3.
-            if m_t > 0:
-                return Fraction(probe)
-            zero = []
-            for j in range(n):
-                mj = solve_lp(_indicator(table, j, False), rows_with_target,
-                              senses, rhs, maximize=True).value
-                if mj == 0:
-                    zero.append(j)
-            if not zero:
-                # Boundary case: the bound equals the probe value but admits
-                # no witness with positive target-antecedent probability.
-                return Fraction(probe)
-            assert len(zero) < n, "restart must strictly shrink the family"
-            fam = [fam[j] for j in zero]
-            vals = [vals[j] for j in zero]
-            continue
-        # Step 2.
-        problem = LPProblem(
-            objective=tuple(a_t),
-            rows=tuple(tuple(r) for r in rows) + (tuple(phi_t),),
-            senses=("=",) * n + ("=",),
-            rhs=(0,) * n + (1,),
-            maximize=maximize,
-        )
-        try:
-            return Fraction(lp_optimize(problem).value)
-        except Infeasible as exc:  # pragma: no cover - excluded by coherence
-            raise AssertionError("Step-2 program infeasible for coherent premises") from exc
+            # Step 2.
+            a_t, phi_t = table.indicators(n)
+            try:
+                return Fraction(solve_lp(a_t, premises + [phi_t], ["="] * (n + 1),
+                                         [0] * n + [1], maximize=maximize).value)
+            except Infeasible as exc:  # pragma: no cover - excluded by coherence
+                raise AssertionError("Step-2 program infeasible for coherent premises") from exc
+        # Step 3.
+        if m_t > 0:
+            return Fraction(probe)
+        zero = [j for j in range(n) if system.maximum(j) == 0]
+        if not zero:
+            # Boundary case: the bound equals the probe value but admits
+            # no witness with positive target-antecedent probability.
+            return Fraction(probe)
+        assert len(zero) < n, "restart must strictly shrink the family"
+        fam = [fam[j] for j in zero]
+        vals = [vals[j] for j in zero]
     raise AssertionError("restart cycle bound exceeded")  # pragma: no cover
 
 

@@ -158,12 +158,10 @@ def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
     return LPSolution(value, x)
 
 
-def feasible_point(rows, senses, rhs, nvar=None):
+def feasible_point(rows, senses, rhs):
     """Phase-1 only: a nonnegative solution of the constraints, or None."""
-    if nvar is None:
-        nvar = len(rows[0])
     try:
-        sol = solve_lp([0] * nvar, rows, senses, rhs)
+        sol = solve_lp([0] * len(rows[0]), rows, senses, rhs)
     except Infeasible:
         return None
     return sol.x

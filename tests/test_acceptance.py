@@ -9,7 +9,7 @@ import conftest
 from probsyll import (
     Figure, ImportKind, OpenInterval, canonical_family, catalog,
     check_coherence, check_p_entailment, conclusion_set, evaluate_syllogism,
-    extension_bounds, figure3_bounds, figure_bounds, gq_syllogism,
+    extension_bounds, figure_bounds, gq_syllogism,
     parse_conditional, premise_box, sigma_with_openness,
 )
 from test_syllogisms import EXPECTED_VERDICTS
@@ -93,7 +93,7 @@ def test_criterion_4_total_coherence_of_table_families(families):
 def test_criterion_5_figure3_complement_identity():
     start = time.perf_counter()
     ok = all(
-        figure3_bounds(x, y, t).lower + figure3_bounds(1 - x, y, t).upper == 1
+        figure_bounds(Figure.III, x, y, t).lower + figure_bounds(Figure.III, 1 - x, y, t).upper == 1
         for x in grid21() for y in grid21() for t in grid21()
     )
     report(5, "lower(x,y,t) + upper(1-x,y,t) = 1 for Figure III on the 21^3 grid",

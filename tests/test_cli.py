@@ -101,6 +101,7 @@ class TestProblemFiles:
         "A / B = 1\n",  # content before any section
         "[assess]\nA / B\n",  # no value
         "[events]\njust_a_name\n",
+        "[events]\nA = A & B\n[assess]\nA / C = 1/2\n",  # cyclic definition
     ])
     def test_malformed_files(self, tmp_path, bad):
         with pytest.raises(ProblemFileError):
@@ -133,6 +134,15 @@ class TestCheckCommand:
         witness = [F(v) for v in report["witness"]]
         assert sum(witness) == 1
 
+    @pytest.mark.parametrize("formula", [
+        "(" * 3000 + "A" + ")" * 3000,
+        " & ".join(["A"] * 600),
+    ])
+    def test_too_deep_formula(self, tmp_path, capsys, formula):
+        code = main(["check", write(tmp_path, f"[assess]\n{formula} / C = 1/2\n")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", str(tmp_path / "nope.txt")])
         assert code == 2
@@ -164,6 +174,11 @@ class TestPropagateCommand:
         lo, hi = F(report["interval"]["lower"]), F(report["interval"]["upper"])
         # sampled hull is contained in the closed-form union [0, 25/38]
         assert 0 <= lo <= hi <= F(25, 38)
+
+    def test_grid_too_large(self, tmp_path, capsys):
+        code = main(["propagate", write(tmp_path, BOX_PROBLEM), "--grid", "1000000"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_non_informative_flag(self, tmp_path, capsys):
         text = "[assess]\nB / A = 9/10\n\n[target]\nC / A\n"

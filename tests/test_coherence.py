@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from probsyll import (
     BoxAssessment, InfeasibleSystem, OpenInterval, TOP,
     build_system, check_coherence, check_g_coherence, check_t_coherence_grid,
-    compute_I0, enumerate_constituents, parse_conditional, solve_feasible,
+    compute_I0, enumerate_constituents, parse_conditional,
 )
 from probsyll.coherence import grid_points
 from conftest import unit_triples
@@ -41,7 +41,7 @@ class TestLinearSystem:
     def test_solve_feasible_witness(self, families):
         table = enumerate_constituents(families["fig3_premise"])
         system = build_system(table, [F(7, 10), F(4, 5), F(1, 2)])
-        witness = solve_feasible(system)
+        witness = system.witness()
         assert witness is not None
         assert sum(witness) == 1
         for row, target in zip(system.rows, system.rhs):
@@ -50,7 +50,7 @@ class TestLinearSystem:
     def test_solve_feasible_none(self):
         table = enumerate_constituents([ce("A / A")])
         system = build_system(table, [F(1, 2)])
-        assert solve_feasible(system) is None
+        assert system.witness() is None
 
 
 class TestPreciseCoherence:
@@ -117,7 +117,7 @@ class TestI0:
         fam = families["fig1_premise"]
         table = enumerate_constituents(fam)
         system = build_system(table, [F(1, 2), F(1, 2), 0])
-        result = compute_I0(system, table)
+        result = compute_I0(system)
         assert result.zero_set == (1,)  # only the B|A row is starved
         assert result.maxima[0] > 0 and result.maxima[2] > 0
 
@@ -125,7 +125,7 @@ class TestI0:
         fam = families["fig3_premise"]
         table = enumerate_constituents(fam)
         system = build_system(table, [F(7, 10), F(4, 5), F(1, 2)])
-        result = compute_I0(system, table)
+        result = compute_I0(system)
         assert result.zero_set == ()
         assert all(m > 0 for m in result.maxima)
 
@@ -133,7 +133,7 @@ class TestI0:
         table = enumerate_constituents([ce("A / A")])
         system = build_system(table, [F(1, 2)])
         with pytest.raises(InfeasibleSystem):
-            compute_I0(system, table)
+            compute_I0(system)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 
 from probsyll import (
     ExtensionInterval, Figure, NotGCoherent, OpenInterval, canonical_family,
-    figure1_bounds, figure1_box_bounds, figure2_bounds, figure2_box_bounds,
-    figure3_bounds, figure3_box_bounds, figure_bounds, figure_box_bounds,
-    sigma_with_openness,
+    figure_bounds, figure_box_bounds, sigma_with_openness,
 )
 from probsyll.coherence import BoxAssessment, grid_points
 from conftest import unit_triples
@@ -32,45 +30,39 @@ class TestCanonicalFamilies:
 
 class TestPreciseFormulas:
     def test_figure1_values(self):
-        assert figure1_bounds(F(4, 5), F(9, 10), F(1, 2)) \
+        assert figure_bounds(Figure.I, F(4, 5), F(9, 10), F(1, 2)) \
             == ExtensionInterval(F(13, 25), 1)
-        assert figure1_bounds(F(1, 2), F(1, 2), 0) == ExtensionInterval(0, 1)
-        assert figure1_bounds(1, 1, 1) == ExtensionInterval(1, 1)
+        assert figure_bounds(Figure.I, F(1, 2), F(1, 2), 0) == ExtensionInterval(0, 1)
+        assert figure_bounds(Figure.I, 1, 1, 1) == ExtensionInterval(1, 1)
         # t = 1 reduces to the x*y / (1-x)(1-y)+x chain bounds
-        assert figure1_bounds(F(4, 5), F(9, 10), 1) \
+        assert figure_bounds(Figure.I, F(4, 5), F(9, 10), 1) \
             == ExtensionInterval(F(18, 25), F(41, 50))
 
     def test_figure2_values(self):
-        assert figure2_bounds(F(9, 10), F(1, 2), F(4, 5)) \
+        assert figure_bounds(Figure.II, F(9, 10), F(1, 2), F(4, 5)) \
             == ExtensionInterval(F(5, 12), 1)
-        assert figure2_bounds(F(1, 10), F(1, 20), F(4, 5)) \
+        assert figure_bounds(Figure.II, F(1, 10), F(1, 20), F(4, 5)) \
             == ExtensionInterval(F(11, 12), 1)
         # middle case: t <= x + y t <= 1
-        assert figure2_bounds(F(1, 2), F(1, 2), F(1, 2)) \
+        assert figure_bounds(Figure.II, F(1, 2), F(1, 2), F(1, 2)) \
             == ExtensionInterval(0, 1)
 
     def test_figure3_values(self):
-        assert figure3_bounds(F(7, 10), F(4, 5), F(1, 2)) \
+        assert figure_bounds(Figure.III, F(7, 10), F(4, 5), F(1, 2)) \
             == ExtensionInterval(F(5, 18), F(17, 18))
-        assert figure3_bounds(F(1, 2), F(1, 2), 0) == ExtensionInterval(0, 1)
-        assert figure3_bounds(1, 1, 1) == ExtensionInterval(1, 1)
-
-    def test_dispatcher(self):
-        for figure, fn in [(Figure.I, figure1_bounds), (Figure.II, figure2_bounds),
-                           (Figure.III, figure3_bounds)]:
-            assert figure_bounds(figure, F(1, 3), F(2, 3), F(1, 2)) \
-                == fn(F(1, 3), F(2, 3), F(1, 2))
+        assert figure_bounds(Figure.III, F(1, 2), F(1, 2), 0) == ExtensionInterval(0, 1)
+        assert figure_bounds(Figure.III, 1, 1, 1) == ExtensionInterval(1, 1)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            figure1_bounds(F(3, 2), 0, 0)
+            figure_bounds(Figure.I, F(3, 2), 0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(unit_triples(max_denominator=12))
     def test_complement_symmetry_figure3(self, values):
         x, y, t = values
-        lo = figure3_bounds(x, y, t).lower
-        hi = figure3_bounds(1 - x, y, t).upper
+        lo = figure_bounds(Figure.III, x, y, t).lower
+        hi = figure_bounds(Figure.III, 1 - x, y, t).upper
         assert lo + hi == 1
 
 
@@ -82,24 +74,24 @@ class TestBoxFormulas:
             assert figure_box_bounds(figure, box) == figure_bounds(figure, *point)
 
     def test_figure1_unit_cube_corner(self):
-        assert figure1_box_bounds(((F(1, 2), 1), (F(1, 2), 1), (F(1, 2), 1))) \
+        assert figure_box_bounds(Figure.I, ((F(1, 2), 1), (F(1, 2), 1), (F(1, 2), 1))) \
             == ExtensionInterval(0, 1)
 
     def test_figure2_box_value(self):
-        assert figure2_box_bounds(((F(9, 10), 1), (F(3, 4), 1), (F(1, 2), 1))) \
+        assert figure_box_bounds(Figure.II, ((F(9, 10), 1), (F(3, 4), 1), (F(1, 2), 1))) \
             == ExtensionInterval(F(11, 18), 1)
 
     def test_figure3_box_value(self):
-        assert figure3_box_bounds(((0, F(1, 4)), (F(9, 10), 1), (F(1, 2), 1))) \
+        assert figure_box_bounds(Figure.III, ((0, F(1, 4)), (F(9, 10), 1), (F(1, 2), 1))) \
             == ExtensionInterval(0, F(25, 38))
 
     def test_box_validation(self):
         with pytest.raises(ValueError):
-            figure1_box_bounds(((F(1, 2), F(1, 4)), (0, 1), (0, 1)))
+            figure_box_bounds(Figure.I, ((F(1, 2), F(1, 4)), (0, 1), (0, 1)))
         with pytest.raises(ValueError):
-            figure1_box_bounds(((0, 1), (0, 1)))
+            figure_box_bounds(Figure.I, ((0, 1), (0, 1)))
         with pytest.raises(ValueError):
-            figure2_box_bounds(((0, 2), (0, 1), (0, 1)))
+            figure_box_bounds(Figure.II, ((0, 2), (0, 1), (0, 1)))
 
     @settings(max_examples=20, deadline=None)
     @given(unit_triples(max_denominator=6), unit_triples(max_denominator=6))

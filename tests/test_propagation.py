@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from probsyll import (
-    BoxAssessment, ExtensionInterval, Figure, IncoherentPremises, LPProblem,
+    BoxAssessment, ExtensionInterval, Figure, IncoherentPremises,
     canonical_family, extension_bounds, extension_union_sampled, figure_bounds,
-    lp_optimize, parse_conditional,
+    parse_conditional,
 )
 from conftest import unit_triples
 
@@ -17,20 +17,6 @@ F = Fraction
 
 def ce(text):
     return parse_conditional(text)
-
-
-class TestLPOptimize:
-    def test_round_trip(self):
-        problem = LPProblem(objective=(1, 2), rows=((1, 1),), senses=("<=",),
-                            rhs=(1,), maximize=True)
-        sol = lp_optimize(problem)
-        assert sol.value == 2
-        assert sol.x == [0, 1]
-
-    def test_minimize_default(self):
-        problem = LPProblem(objective=(1, 2), rows=((1, 1),), senses=("=",),
-                            rhs=(1,))
-        assert lp_optimize(problem).value == 1
 
 
 class TestPreciseExtension:

@@ -49,6 +49,14 @@ class TestBasics:
                        maximize=True)
         assert sol.value == 1
 
+    def test_round_trip(self):
+        sol = solve_lp((1, 2), ((1, 1),), ("<=",), (1,), maximize=True)
+        assert sol.value == 2
+        assert sol.x == [0, 1]
+
+    def test_minimize_default(self):
+        assert solve_lp((1, 2), ((1, 1),), ("=",), (1,)).value == 1
+
     def test_degenerate_no_cycle(self):
         # Klee-Minty-ish degeneracy; Bland's rule must terminate.
         sol = solve_lp([1, 1, 1],
