@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coherence import (BoxAssessment, check_coherence, check_g_coherence,
-                        coherence_witness, grid_points)
+                        coherence_witness)
 from .events import (ConditionalEvent, EventError, ParseError,
                      parse_conditional, parse_event)
 from .figures import Figure, NotGCoherent
@@ -266,20 +266,20 @@ def _syllogism_report(form: SyllogismForm, import_kind: ImportKind):
 
 def _oracle_check_sigma(form: SyllogismForm, verdict, import_kind: ImportKind,
                         grid: int) -> bool:
-    """LP cross-check: sampled extension union must land inside Sigma."""
+    """LP cross-check: the sampled extension hull must land inside Sigma's closure.
+
+    True when no grid point is coherent: there is nothing to check.
+    """
     from .figures import canonical_family
 
     family, target = canonical_family(form.figure)
     box = BoxAssessment.from_intervals(list(premise_box(form, import_kind)))
+    try:
+        hull = extension_union_sampled(family, box, target, grid_density=grid)
+    except IncoherentPremises:
+        return True
     closure = verdict.sigma.closure()
-    for point in grid_points(box, grid):
-        values = list(point)
-        if not check_coherence(family, values):
-            continue
-        bounds = extension_bounds(family, values, target, check=False)
-        if bounds.lower not in closure or bounds.upper not in closure:
-            return False
-    return True
+    return hull.lower in closure and hull.upper in closure
 
 
 def cmd_syllogism(name_or_mood: str, import_kind="conditional",

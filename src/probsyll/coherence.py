@@ -71,8 +71,10 @@ class LinearSystem:
 
 def homogeneous_row(table: ConstituentTable, j: int, p) -> tuple:
     """Row of  sum_{E_jH_j} lambda - p sum_{H_j} lambda  over the constituents."""
+    # E_jH_j lies inside H_j, so each entry is 1 - p, -p or 0.
     a, phi = table.indicators(j)
-    return tuple(ai - p * pi for ai, pi in zip(a, phi))
+    inside, outside = 1 - p, -p
+    return tuple((inside if ai else outside) if pi else 0 for ai, pi in zip(a, phi))
 
 
 @dataclass(frozen=True)

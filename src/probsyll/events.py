@@ -28,6 +28,11 @@ MAX_ATOMS = 12
 #: while parsing: formulas are walked recursively.
 MAX_DEPTH = 100
 
+#: Cap on the number of nodes `Event.substitute` may build: definitions that
+#: reuse earlier names (D1 = D0 | D0, D2 = D1 | D1, ...) double the tree at
+#: every line, well within MAX_DEPTH.
+MAX_NODES = 10_000
+
 
 class EventError(Exception):
     """Base class for event-algebra errors."""
@@ -103,9 +108,16 @@ class Event:
 
         Raises ParseError when the result nests deeper than MAX_DEPTH, each
         replaced name counting as one more level, so a definition that refers
-        to itself cannot recurse forever.
+        to itself cannot recurse forever, or when it has more than MAX_NODES
+        nodes.
         """
+        nodes = 0
+
         def walk(event, depth):
+            nonlocal nodes
+            nodes += 1
+            if nodes > MAX_NODES:
+                raise ParseError(f"formula expands to more than {MAX_NODES} nodes")
             if depth > MAX_DEPTH:
                 raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels")
             if event.op == "atom":

@@ -118,6 +118,11 @@ class EpsRational:
         return obj
 
     @classmethod
+    def from_coefficients(cls, num, den) -> "EpsRational":
+        """num / den from coefficient sequences (low order first) of ints or Fractions."""
+        return cls._make(_trim(Fraction(c) for c in num), _trim(Fraction(c) for c in den))
+
+    @classmethod
     def epsilon(cls) -> "EpsRational":
         return cls._make((Fraction(0), Fraction(1)), _ONE)
 

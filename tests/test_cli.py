@@ -134,6 +134,28 @@ class TestCheckCommand:
         witness = [F(v) for v in report["witness"]]
         assert sum(witness) == 1
 
+    @pytest.mark.parametrize("text, witness", [
+        (PRECISE_FIG3, ["1/4", "3/20", "1/2", "1/10", "0"]),
+        # A / (A | B) = 0 starves B / A, so the check recurses on I0 = {B / A}.
+        ("[assess]\nC / B = 2/3\nB / A = 1/2\nA / (A | B) = 0\nD / (B | C) = 1/4\n",
+         ["0"] * 8 + ["2/3", "1/4", "1/12", "0", "0"]),
+    ])
+    def test_witness_pinned(self, tmp_path, capsys, text, witness):
+        # Many witnesses solve these systems; the one reported is the vertex
+        # that Bland's rule reaches, so this pins the simplex's pivot path.
+        code = main(["check", write(tmp_path, text), "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == witness
+
+    def test_definitions_expanding_too_far(self, tmp_path, capsys):
+        # Each line doubles the formula: D22 would have 2**24 - 1 nodes.
+        lines = ["[events]", "D0 = A & B"]
+        lines += [f"D{k} = D{k - 1} | D{k - 1}" for k in range(1, 23)]
+        lines += ["[assess]", "D22 / C = 1/2"]
+        code = main(["check", write(tmp_path, "\n".join(lines) + "\n")])
+        assert code == 2
+        assert "nodes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("formula", [
         "(" * 3000 + "A" + ")" * 3000,
         " & ".join(["A"] * 600),
