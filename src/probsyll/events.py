@@ -8,20 +8,23 @@ Given a family (E_1|H_1, ..., E_n|H_n), the constituents are the atoms of the
 partition it generates: total truth assignments merged whenever they induce the
 same truth value on every cell E_jH_j / not-E_j H_j / not-H_j.  Constituents
 inside the disjunction H_1 v ... v H_n are numbered C_1..C_m; the residual
-block outside every antecedent, when present, is C_0.
+block outside every antecedent, when present, is C_0.  A set of worlds is a
+bitmask: bit w is the w-th assignment to the sorted atoms in descending
+lexicographic order (world 0 is all True).  Formulas are evaluated once, as
+truth-table masks, and the partition is refined by E_jH_j and H_j.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
-from itertools import product
+from operator import and_, or_
 from typing import Iterable, Mapping, Optional
 
-#: Cap on the number of distinct atoms in a family; constituent generation is a
-#: brute-force sweep over 2**k assignments.
+#: Cap on the number of distinct atoms in a family; every truth-table mask has
+#: 2**k bits.
 MAX_ATOMS = 12
 
 #: Cap on the depth of a formula tree, and on nested parentheses and negations
@@ -94,14 +97,21 @@ class Event:
             return False
         raise AssertionError(f"unknown op {self.op!r}")
 
+    def _mask(self, tables: Mapping[str, int], full: int) -> int:
+        """Truth-table mask over the worlds of `_truth_tables`."""
+        if self.op == "atom":
+            return tables[self.name]
+        masks = [a._mask(tables, full) for a in self.args]
+        if self.op == "not":
+            return full ^ masks[0]
+        if self.op in ("and", "top"):  # T is the empty conjunction
+            return reduce(and_, masks, full)
+        if self.op in ("or", "bot"):  # F is the empty disjunction
+            return reduce(or_, masks, 0)
+        raise AssertionError(f"unknown op {self.op!r}")
+
     def is_satisfiable(self) -> bool:
-        names = sorted(self.atoms())
-        if len(names) > MAX_ATOMS:
-            raise EventError(f"too many atoms ({len(names)} > {MAX_ATOMS})")
-        return any(
-            self.evaluate(dict(zip(names, bits)))
-            for bits in product((True, False), repeat=len(names))
-        )
+        return self._mask(*_truth_tables(sorted(self.atoms()))) != 0
 
     def substitute(self, definitions: Mapping[str, "Event"]) -> "Event":
         """Replace atoms by named sub-formulas (used by the CLI's [events] section).
@@ -295,23 +305,50 @@ def parse_conditional(text: str) -> ConditionalEvent:
 # Constituents.
 # ---------------------------------------------------------------------------
 
+def _truth_tables(names) -> tuple:
+    """Masks of the sorted atoms `names` over their 2**k worlds, and the mask
+    of all worlds: atom i holds in alternating runs of 2**(k-1-i) worlds."""
+    k = len(names)
+    if k > MAX_ATOMS:
+        raise EventError(f"too many atoms ({k} > {MAX_ATOMS})")
+    full = (1 << (1 << k)) - 1
+    tables = {}
+    for i, name in enumerate(names):
+        run = 1 << (k - 1 - i)
+        # A 1 at the start of every period of 2 * run worlds, times run ones.
+        tables[name] = full // ((1 << 2 * run) - 1) * ((1 << run) - 1)
+    return tables, full
+
+
+def _world(w: int, width: int) -> tuple:
+    """World w as booleans over the sorted atoms (world 0 is all True)."""
+    return tuple(w >> s & 1 == 0 for s in range(width - 1, -1, -1))
+
+
 @dataclass(frozen=True)
 class Constituent:
     """One block of the partition generated by a family.
 
     cells[j] is True / False / None according to whether the block lies inside
-    E_jH_j, inside not-E_j H_j, or outside H_j.  worlds lists the merged atom
-    assignments (tuples of booleans over the table's sorted atoms), in
-    descending lexicographic order; worlds[0] is the canonical representative.
+    E_jH_j, inside not-E_j H_j, or outside H_j.  Bit w of mask is set when
+    world w over the table's `width` sorted atoms lies in the block; worlds
+    decodes them on demand (tuples of booleans, in descending lexicographic
+    order), and worlds[0] is the canonical representative.
     """
 
     index: int
-    worlds: tuple
+    mask: int
+    width: int
     cells: tuple
 
     @property
-    def representative(self):
-        return self.worlds[0]
+    def worlds(self) -> tuple:
+        bits = bin(self.mask)[:1:-1]
+        return tuple(_world(w, self.width) for w, b in enumerate(bits) if b == "1")
+
+    @property
+    def representative(self) -> tuple:
+        return _world((self.mask & -self.mask).bit_length() - 1, self.width)
 
 
 @dataclass(frozen=True)
@@ -340,8 +377,8 @@ class ConstituentTable:
 def enumerate_constituents(family: Iterable[ConditionalEvent]) -> ConstituentTable:
     """Partition the atom assignments by the cell values they induce.
 
-    Constituent order is canonical: assignments are swept in descending
-    lexicographic order (True before False, atoms sorted alphabetically) and
+    Constituent order is canonical: assignments are ordered descending
+    lexicographically (True before False, atoms sorted alphabetically) and
     blocks appear in order of their first (maximal) assignment.  The all-void
     block, if any, is returned separately as the residual C_0.
     """
@@ -354,25 +391,24 @@ def enumerate_constituents(family: Iterable[ConditionalEvent]) -> ConstituentTab
 @lru_cache(maxsize=1024)
 def _table(family: tuple) -> ConstituentTable:
     names = sorted(set().union(*(ce.atoms() for ce in family)))
-    if len(names) > MAX_ATOMS:
-        raise EventError(f"too many atoms ({len(names)} > {MAX_ATOMS})")
+    tables, full = _truth_tables(names)
+    blocks = {(): full}  # cells so far -> mask of the worlds inducing them
     for ce in family:
-        if not ce.antecedent.is_satisfiable():
+        h = ce.antecedent._mask(tables, full)
+        if not h:
             raise ImpossibleAntecedent(f"impossible antecedent: {ce.antecedent}")
+        eh = h & ce.consequent._mask(tables, full)
+        parts = ((True, eh), (False, h ^ eh), (None, full ^ h))
+        blocks = {cells + (value,): mask & part
+                  for cells, mask in blocks.items() for value, part in parts
+                  if mask & part}
 
-    blocks: dict = {}
-    for bits in product((True, False), repeat=len(names)):
-        world = dict(zip(names, bits))
-        cells = tuple(ce.value_in(world) for ce in family)
-        blocks.setdefault(cells, []).append(bits)
-
-    void = (None,) * len(family)
-    residual_worlds = blocks.pop(void, None)
-    constituents = tuple(
-        Constituent(i + 1, tuple(worlds), cells)
-        for i, (cells, worlds) in enumerate(blocks.items())
-    )
-    residual = Constituent(0, tuple(residual_worlds), void) if residual_worlds else None
+    width, void = len(names), (None,) * len(family)
+    residual = blocks.pop(void, 0)
+    ordered = sorted(blocks.items(), key=lambda item: item[1] & -item[1])
+    constituents = tuple(Constituent(i + 1, mask, width, cells)
+                         for i, (cells, mask) in enumerate(ordered))
+    residual = Constituent(0, residual, width, void) if residual else None
     return ConstituentTable(family, tuple(names), constituents, residual)
 
 

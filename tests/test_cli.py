@@ -1,12 +1,17 @@
 """Command-line interface: problem files, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from probsyll.cli import (ProblemFileError, load_problem, main,
                           parse_rational, parse_value_set)
+import probsyll
 from probsyll import OpenInterval
 
 F = Fraction
@@ -156,6 +161,16 @@ class TestCheckCommand:
         assert code == 2
         assert "nodes" in capsys.readouterr().err
 
+    def test_definitions_expanding_within_cap(self, tmp_path, capsys):
+        # 6,143 nodes over 12 atoms, under MAX_NODES: D8 is evaluated once as
+        # a truth table over the 4,096 worlds, not walked once per world.
+        lines = ["[events]", "D0 = (A & B & C & D & E & F) | (G & H & I & J & K & L)"]
+        lines += [f"D{k} = D{k - 1} | D{k - 1}" for k in range(1, 9)]
+        lines += ["[assess]", "D8 / A = 1/2"]
+        code = main(["check", write(tmp_path, "\n".join(lines) + "\n")])
+        assert code == 0
+        assert "witness: 1/2 1/2" in capsys.readouterr().out
+
     @pytest.mark.parametrize("formula", [
         "(" * 3000 + "A" + ")" * 3000,
         " & ".join(["A"] * 600),
@@ -257,6 +272,16 @@ class TestSyllogismCommand:
         assert report["sigma"] == {"lower": "0", "upper": "1",
                                    "lower_open": False, "upper_open": True}
         assert report["strictly_valid"] is True
+
+    def test_python_dash_m(self):
+        src = str(Path(probsyll.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "probsyll", "syllogism", "barbara"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "verdict: s-valid" in result.stdout
 
     def test_unknown_name(self, capsys):
         code = main(["syllogism", "bramantip"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from probsyll import (
     Event, TOP, BOT, ConditionalEvent, ImpossibleAntecedent, LengthMismatch,
@@ -138,6 +138,52 @@ def _rows(table):
     return [(table.describe(c), c.cells) for c in table.constituents]
 
 
+def _formulas():
+    """Formula trees over at most six atoms, with T, F, nested negations,
+    n-ary connectives and subterms that occur twice."""
+    leaves = st.one_of(st.sampled_from(["A", "B", "C", "D", "x", "Y2"]).map(Event.atom),
+                       st.just(TOP), st.just(BOT))
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            children.map(lambda e: ~e),
+            children.map(lambda e: ~~e),
+            pairs.map(lambda ab: ab[0] & ab[1]),
+            pairs.map(lambda ab: ab[0] | ab[1]),
+            pairs.map(lambda ab: (ab[0] & ab[1]) | ~ab[0]),
+            st.tuples(st.sampled_from(["and", "or"]), st.lists(children, min_size=1, max_size=3))
+            .map(lambda t: Event(t[0], args=tuple(t[1]))),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _brute_satisfiable(event):
+    names = sorted(event.atoms())
+    return any(event.evaluate(dict(zip(names, bits)))
+               for bits in product((True, False), repeat=len(names)))
+
+
+def _brute_table(family):
+    """Atoms, blocks and residual by a sweep of every world, as index, cells,
+    worlds and representative."""
+    names = sorted(set().union(*(ce.atoms() for ce in family)))
+    blocks = {}
+    for bits in product((True, False), repeat=len(names)):
+        world = dict(zip(names, bits))
+        blocks.setdefault(tuple(ce.value_in(world) for ce in family), []).append(bits)
+    void = (None,) * len(family)
+    residual = blocks.pop(void, None)
+    return (tuple(names),
+            [(i + 1, cells, tuple(ws), ws[0]) for i, (cells, ws) in enumerate(blocks.items())],
+            residual and (0, void, tuple(residual), residual[0]))
+
+
+def _fields(c):
+    return c and (c.index, c.cells, c.worlds, c.representative)
+
+
 class TestGoldenTables:
     def test_modus_ponens_family(self, families):
         # (C|B, B|A, C|A)
@@ -256,6 +302,26 @@ class TestEnumeration:
                 assert tuple(ce.value_in(wd) for ce in family) == c.cells
         # at most 3^n blocks counting the residual
         assert table.m + (1 if table.residual else 0) <= 3 ** n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_formulas(), _formulas()), min_size=1, max_size=4))
+    def test_table_matches_brute_force(self, pairs):
+        family = []
+        for consequent, antecedent in pairs:
+            for e in (consequent, antecedent):
+                assert e.is_satisfiable() == _brute_satisfiable(e)
+            if _brute_satisfiable(antecedent):
+                family.append(ConditionalEvent(consequent, antecedent))
+            else:
+                with pytest.raises(ImpossibleAntecedent):
+                    ConditionalEvent(consequent, antecedent)
+        if not family:
+            return
+        table = enumerate_constituents(family)
+        atoms, blocks, residual = _brute_table(family)
+        assert table.atoms == atoms
+        assert [_fields(c) for c in table.constituents] == blocks
+        assert _fields(table.residual) == residual
 
 
 class TestPoints:
