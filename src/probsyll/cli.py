@@ -32,7 +32,7 @@ from typing import Optional
 
 from .coherence import (BoxAssessment, check_coherence, check_g_coherence,
                         coherence_witness)
-from .events import (ConditionalEvent, EventError, ParseError,
+from .events import (_ATOM, ConditionalEvent, EventError, ParseError,
                      parse_conditional, parse_event)
 from .figures import Figure, NotGCoherent
 from .intervals import ExtensionInterval, OpenInterval
@@ -70,9 +70,24 @@ class ProblemFile:
         return BoxAssessment.from_intervals([iv for _, iv in self.assessments])
 
 
+#: Digits the numerator or the denominator of a literal may have, an exponent
+#: counting as that many digits (1e-300000 has 300,001).  Checked on the text,
+#: before Fraction() builds the number.
+MAX_LITERAL_DIGITS = 1000
+
+
 def parse_rational(text: str) -> Fraction:
+    text = text.strip()
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    digits = max(sum(ch.isdigit() for ch in part) for part in mantissa.split("/"))
+    if exponent.isdecimal():
+        digits += int(exponent) if len(exponent) < 10 else MAX_LITERAL_DIGITS + 1
+    if digits > MAX_LITERAL_DIGITS:
+        raise ProblemFileError(
+            f"rational value of more than {MAX_LITERAL_DIGITS} digits: {text[:20]!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(f"bad rational value {text!r}") from exc
 
@@ -114,6 +129,8 @@ def load_problem(path: str) -> ProblemFile:
                 if not _:
                     raise ProblemFileError(f"line {lineno}: expected NAME = formula")
                 name = name.strip()
+                if not _ATOM.fullmatch(name):
+                    raise ProblemFileError(f"line {lineno}: {name!r} is not an event name")
                 expansion = parse_event(expr).substitute(problem.events)
                 if name in expansion.atoms():
                     raise ProblemFileError(f"line {lineno}: {name} is defined in terms of itself")

@@ -197,7 +197,8 @@ class ConditionalEvent:
 #   factor := '!' factor | atom | '(' expr ')'
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[!&|()/])")
+_ATOM = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*({_ATOM.pattern}|[!&|()/])")
 
 
 def _tokenize(text: str):
@@ -254,7 +255,7 @@ class _Parser:
             return node
         if tok is None:
             raise ParseError("unexpected end of input")
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        if _ATOM.fullmatch(tok):
             return Event.atom(tok)
         raise ParseError(f"unexpected token {tok!r}")
 

@@ -1,9 +1,17 @@
 """Exact arithmetic in Q(eps): rational functions of one positive infinitesimal.
 
-Elements are quotients of polynomials in eps with Fraction coefficients,
-ordered by the sign they eventually take for small positive real eps (the sign
-of the lowest-degree nonzero coefficient).  This makes Q(eps) an ordered field
-extending the rationals with 0 < eps < q for every positive rational q.
+An element is a quotient num / den of integer polynomials in eps (Z[eps], the
+polynomials the simplex pivots on), ordered by the sign it eventually takes for
+small positive real eps.  This makes Q(eps) an ordered field extending the
+rationals with 0 < eps < q for every positive rational q.
+
+The quotient is never reduced by a polynomial gcd: only the integer content is
+divided out, and den's lowest nonzero coefficient is kept positive (den > 0
+for small eps).  That is exact because every query reads only what a common
+factor cancels from: the sign is that of num's lowest nonzero coefficient;
+x < y and x == y read the sign of num_x * den_y - num_y * den_x; the limit
+and the hash read the leading term (a / b) * eps^(i - j) from the lowest terms
+a*eps^i of num and b*eps^j of den; and the value is rational iff num = c * den.
 
 Strict constraints like "p > 0" become the closed constraint "p >= eps" here;
 running an exact closed-form theorem (or an exact LP) over Q(eps) then answers
@@ -15,78 +23,118 @@ value is constant for all small real eps, hence attained).
 from __future__ import annotations
 
 from fractions import Fraction
-
-_ZERO = ()
-_ONE = (Fraction(1),)
+from math import gcd
 
 
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+class _Poly:
+    """An element of Z[eps]: integer coefficients, low order first, no trailing zeros.
+
+    Offers *, +, -, unary -, exact //, truth value, ==, the eventual sign, and
+    < / > against another element or against int 0.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = coeffs
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        if not a or not b:
+            return _PZERO
+        if len(a) == 1:
+            k = a[0]
+            return _Poly(tuple(k * y for y in b))
+        if len(b) == 1:
+            k = b[0]
+            return _Poly(tuple(x * k for x in a))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _Poly(tuple(out))
+
+    def __add__(self, other):
+        return self - -other
+
+    def __sub__(self, other):
+        a, b = self.c, other.c
+        n = len(b)
+        if len(a) > n:
+            return _Poly(tuple(x - y for x, y in zip(a, b)) + a[n:])
+        out = [x - y for x, y in zip(a, b)] + [-y for y in b[len(a):]]
+        while out and not out[-1]:
+            out.pop()
+        return _Poly(tuple(out))
+
+    def __neg__(self):
+        return _Poly(tuple(-x for x in self.c))
+
+    def __floordiv__(self, other):
+        """The quotient of an exact division, as every division in the tableau is."""
+        b = other.c
+        if len(b) == 1:
+            k = b[0]
+            return _Poly(tuple(x // k for x in self.c))
+        a = list(self.c)
+        nb, lead = len(b), b[-1]
+        q = [0] * max(len(a) - nb + 1, 0)
+        for k in range(len(q) - 1, -1, -1):
+            t = a[k + nb - 1]
+            if t:
+                qk, rem = divmod(t, lead)
+                if rem:
+                    raise ArithmeticError("inexact division in Z[eps]")
+                q[k] = qk
+                for j, y in enumerate(b):
+                    a[k + j] -= qk * y
+        if any(a):
+            raise ArithmeticError("inexact division in Z[eps]")
+        return _Poly(tuple(q))
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        return self.c == other.c
+
+    __hash__ = None
+
+    def low(self):
+        """(i, a): the lowest-order nonzero term a*eps^i (the polynomial is nonzero)."""
+        for i, x in enumerate(self.c):
+            if x:
+                return i, x
+        raise ValueError("zero polynomial")
+
+    def sign(self) -> int:
+        """The sign for small positive eps: that of the lowest nonzero coefficient."""
+        for x in self.c:
+            if x:
+                return 1 if x > 0 else -1
+        return 0
+
+    def _sign(self, other) -> int:
+        return self.sign() if other.__class__ is int else (self - other).sign()
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __gt__(self, other):
+        return self._sign(other) > 0
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return _ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    """Polynomial long division (coefficients low-order first)."""
-    assert b
-    rem = list(a)
-    if len(rem) < len(b):
-        return _ZERO, _trim(rem)
-    q = [Fraction(0)] * (len(rem) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(rem) - len(b), -1, -1):
-        coeff = rem[k + len(b) - 1] / lead
-        if coeff != 0:
-            q[k] = coeff
-            for j, bj in enumerate(b):
-                rem[k + j] -= coeff * bj
-    return _trim(q), _trim(rem)
-
-
-def _pgcd(a, b):
-    """Monic gcd via Euclid; gcd(0, b) = monic b."""
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return _ZERO
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _low_index(a) -> int:
-    for i, c in enumerate(a):
-        if c != 0:
-            return i
-    raise ValueError("zero polynomial")
+_PZERO = _Poly(())
+_PONE = _Poly((1,))
 
 
 class EpsRational:
-    """An element of Q(eps).  Interoperates with int and Fraction operands."""
+    """An element of Q(eps).  Interoperates with int and Fraction operands.
+
+    num and den are _Poly; den's lowest nonzero coefficient is positive and
+    num and den have no common integer factor.
+    """
 
     __slots__ = ("num", "den")
 
@@ -94,37 +142,32 @@ class EpsRational:
         if isinstance(value, EpsRational):
             self.num, self.den = value.num, value.den
             return
-        self.num = _trim((Fraction(value),))
-        self.den = _ONE
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        self.num = _Poly((value.numerator,)) if value else _PZERO
+        self.den = _Poly((value.denominator,))
 
     @classmethod
     def _make(cls, num, den) -> "EpsRational":
+        """num / den with the integer content divided out and den > 0."""
         if not den:
             raise ZeroDivisionError("division by zero in Q(eps)")
         if not num:
-            obj = object.__new__(cls)
-            obj.num, obj.den = _ZERO, _ONE
-            return obj
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        # Normalize: lowest nonzero denominator coefficient becomes 1.
-        scale = den[_low_index(den)]
-        num = tuple(c / scale for c in num)
-        den = tuple(c / scale for c in den)
+            num, den = _PZERO, _PONE
+        else:
+            g = gcd(*num.c, *den.c)
+            if den.sign() < 0:
+                g = -g
+            if g != 1:
+                k = _Poly((g,))
+                num, den = num // k, den // k
         obj = object.__new__(cls)
         obj.num, obj.den = num, den
         return obj
 
     @classmethod
-    def from_coefficients(cls, num, den) -> "EpsRational":
-        """num / den from coefficient sequences (low order first) of ints or Fractions."""
-        return cls._make(_trim(Fraction(c) for c in num), _trim(Fraction(c) for c in den))
-
-    @classmethod
     def epsilon(cls) -> "EpsRational":
-        return cls._make((Fraction(0), Fraction(1)), _ONE)
+        return cls._make(_Poly((0, 1)), _PONE)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -140,15 +183,15 @@ class EpsRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsRational._make(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        if self.den == other.den:
+            return EpsRational._make(self.num + other.num, self.den)
+        return EpsRational._make(self.num * other.den + other.num * self.den,
+                                 self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsRational._make(_pneg(self.num), self.den)
+        return EpsRational._make(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -166,7 +209,7 @@ class EpsRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsRational._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return EpsRational._make(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -174,7 +217,7 @@ class EpsRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsRational._make(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return EpsRational._make(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -186,16 +229,13 @@ class EpsRational:
 
     def sign(self) -> int:
         """Eventual sign for small positive real eps."""
-        if not self.num:
-            return 0
-        # den's lowest nonzero coefficient is normalized to +1.
-        return 1 if self.num[_low_index(self.num)] > 0 else -1
+        return self.num.sign()
 
     def _cmp(self, other):
         other = self._coerce(other)
         if other is None:
             return None
-        return (self - other).sign()
+        return (self.num * other.den - other.num * self.den).sign()
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -221,46 +261,42 @@ class EpsRational:
         return bool(self.num)
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.standard_part())
-        return hash((self.num, self.den))
+        # The leading term c*eps^k, so hash(EpsRational(q)) == hash(q).
+        if not self.num:
+            return hash(0)
+        (i, a), (j, b) = self.num.low(), self.den.low()
+        c = Fraction(a, b)
+        return hash(c) if i == j else hash((c, i - j))
 
     # -- inspection ---------------------------------------------------------
 
     def is_rational(self) -> bool:
         """True iff the value does not depend on eps."""
-        return len(self.num) <= 1 and len(self.den) <= 1
+        if not self.num:
+            return True
+        j, b = self.den.low()
+        a = self.num.c[j] if j < len(self.num.c) else 0
+        return bool(a) and self.num * _Poly((b,)) == self.den * _Poly((a,))
 
     def standard_part(self) -> Fraction:
         """Limit as eps -> 0+ (finite cases only)."""
         if not self.num:
             return Fraction(0)
-        a, b = _low_index(self.num), _low_index(self.den)
-        if a > b:
+        (i, a), (j, b) = self.num.low(), self.den.low()
+        if i > j:
             return Fraction(0)
-        if a == b:
-            return self.num[a] / self.den[b]
+        if i == j:
+            return Fraction(a, b)
         raise OverflowError("value is unbounded as eps -> 0+")
 
     def __repr__(self):
         def poly(cs):
-            if not cs:
-                return "0"
-            parts = []
-            for i, c in enumerate(cs):
-                if c == 0:
-                    continue
-                if i == 0:
-                    parts.append(str(c))
-                elif i == 1:
-                    parts.append(f"{c}*eps" if c != 1 else "eps")
-                else:
-                    parts.append(f"{c}*eps^{i}" if c != 1 else f"eps^{i}")
-            return " + ".join(parts)
+            return " + ".join(f"{c}*eps^{i}" if i else str(c)
+                              for i, c in enumerate(cs) if c) or "0"
 
-        if self.den == _ONE:
-            return f"EpsRational({poly(self.num)})"
-        return f"EpsRational(({poly(self.num)}) / ({poly(self.den)}))"
+        if self.den == _PONE:
+            return f"EpsRational({poly(self.num.c)})"
+        return f"EpsRational(({poly(self.num.c)}) / ({poly(self.den.c)}))"
 
 
 EPS = EpsRational.epsilon()

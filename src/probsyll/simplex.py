@@ -8,8 +8,9 @@ Problems are given in the form
 with entries int, Fraction or EpsRational, and solved exactly: the optimum
 and the witness x come back as Fraction (EpsRational when some entry is one).
 
-The tableau is held over the integers (over Z[eps], integer polynomials in
-the infinitesimal, when some entry is an EpsRational) and pivoted by the
+The tableau is held over the integers (over Z[eps] when some entry is an
+EpsRational: the integer polynomials of infinitesimals.py, whose num / den
+pairs are read and built here without conversion) and pivoted by the
 Bareiss / Edmonds integer-preserving rule, so the pivot loop builds no
 fractions.  Row i of the initial tableau [A_i | slack | artificial | b_i] is
 multiplied by c_i > 0, the lcm of its denominators (times any non-constant
@@ -33,11 +34,9 @@ by cross-multiplication, ties to the smallest basic index) therefore makes
 the same choices as on the Fraction tableau, and the solver is deterministic,
 terminates, and returns the same optimum, witness and exceptions.
 
-In Z[eps] an element is ordered by the sign of its lowest-order nonzero
-coefficient, its eventual sign for small positive eps.  Redundant equality
-rows keep their artificial basic at 0 instead of being deleted: they are zero
-on every other column, and deleting one would break the exactness of the
-division by d.
+Redundant equality rows keep their artificial basic at 0 instead of being
+deleted: they are zero on every other column, and deleting one would break
+the exactness of the division by d.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .infinitesimals import EpsRational
+from .infinitesimals import EpsRational, _Poly, _PONE, _PZERO
 
 
 class LPError(Exception):
@@ -67,96 +66,6 @@ class LPSolution:
     x: list
 
 
-class _Poly:
-    """An element of Z[eps]: integer coefficients, low order first, no trailing zeros.
-
-    Offers what the tableau needs: *, +, -, unary -, exact //, truth value, ==,
-    and < / > against another element or against int 0.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = coeffs
-
-    def __mul__(self, other):
-        a, b = self.c, other.c
-        if not a or not b:
-            return _PZERO
-        if len(a) == 1:
-            k = a[0]
-            return _Poly(tuple(k * y for y in b))
-        if len(b) == 1:
-            k = b[0]
-            return _Poly(tuple(x * k for x in a))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _Poly(tuple(out))
-
-    def __add__(self, other):
-        return self - -other
-
-    def __sub__(self, other):
-        a, b = self.c, other.c
-        n = len(b)
-        if len(a) > n:
-            return _Poly(tuple(x - y for x, y in zip(a, b)) + a[n:])
-        out = [x - y for x, y in zip(a, b)] + [-y for y in b[len(a):]]
-        while out and not out[-1]:
-            out.pop()
-        return _Poly(tuple(out))
-
-    def __neg__(self):
-        return _Poly(tuple(-x for x in self.c))
-
-    def __floordiv__(self, other):
-        """The quotient of an exact division, as every division in the tableau is."""
-        b = other.c
-        if len(b) == 1:
-            k = b[0]
-            return _Poly(tuple(x // k for x in self.c))
-        a = list(self.c)
-        nb, lead = len(b), b[-1]
-        q = [0] * max(len(a) - nb + 1, 0)
-        for k in range(len(q) - 1, -1, -1):
-            t = a[k + nb - 1]
-            if t:
-                qk, rem = divmod(t, lead)
-                if rem:
-                    raise ArithmeticError("inexact division in Z[eps]")
-                q[k] = qk
-                for j, y in enumerate(b):
-                    a[k + j] -= qk * y
-        if any(a):
-            raise ArithmeticError("inexact division in Z[eps]")
-        return _Poly(tuple(q))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return self.c == other.c
-
-    __hash__ = None
-
-    def _sign(self, other) -> int:
-        coeffs = self.c if other.__class__ is int else (self - other).c
-        for x in coeffs:
-            if x:
-                return 1 if x > 0 else -1
-        return 0
-
-    def __lt__(self, other):
-        return self._sign(other) < 0
-
-    def __gt__(self, other):
-        return self._sign(other) > 0
-
-
-_PZERO = _Poly(())
 
 
 def _scale_int(values):
@@ -168,22 +77,19 @@ def _scale_int(values):
 
 
 def _eps_parts(v):
-    """v = num / den with num, den integer coefficient tuples and den > 0."""
+    """v = num / den over Z[eps], den > 0: an EpsRational's own polynomials."""
     if isinstance(v, EpsRational):
-        num, den = v.num, v.den  # Fraction coefficients; den's lowest is 1
-        k = lcm(*[x.denominator for x in num + den])
-        return (tuple(x.numerator * (k // x.denominator) for x in num),
-                tuple(x.numerator * (k // x.denominator) for x in den))
-    return ((v.numerator,) if v else ()), (v.denominator,)
+        return v.num, v.den
+    return _Poly((v.numerator,) if v else ()), _Poly((v.denominator,))
 
 
 def _scale_eps(values):
     """values times a positive common multiple c of their denominators, in Z[eps]."""
     parts = [_eps_parts(v) for v in values]
-    c = _Poly((lcm(*[den[0] for _, den in parts if len(den) == 1]),))
-    for den in dict.fromkeys(den for _, den in parts if len(den) > 1):
+    c = _Poly((lcm(*[den.c[0] for _, den in parts if len(den.c) == 1]),))
+    for den in dict.fromkeys(den.c for _, den in parts if len(den.c) > 1):
         c = c * _Poly(den)
-    return [_Poly(num) * (c // _Poly(den)) for num, den in parts], c
+    return [num * (c // den) for num, den in parts], c
 
 
 class _Tableau:
@@ -253,7 +159,7 @@ def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
 
     # Each row scaled to Z / Z[eps] by its own c_i > 0, the rhs last.
     scaled = [scale(list(row) + [b]) for row, b in zip(rows, rhs)]
-    d = _Poly((1,)) if eps else 1
+    d = _PONE if eps else 1
     for _, c in scaled:
         d = d * c
 
@@ -325,7 +231,7 @@ def _convert(num, den):
     """num / den back to Fraction, or to EpsRational over Z[eps]."""
     if num.__class__ is int:
         return Fraction(num, den)
-    return EpsRational.from_coefficients(num.c, den.c)
+    return EpsRational._make(num, den)
 
 
 def feasible_point(rows, senses, rhs):

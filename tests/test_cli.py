@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +108,8 @@ class TestProblemFiles:
         "[assess]\nA / B\n",  # no value
         "[events]\njust_a_name\n",
         "[events]\nA = A & B\n[assess]\nA / C = 1/2\n",  # cyclic definition
+        "[events]\n = A & B\n",  # no name
+        "[events]\n1X Y = C\n",  # not an identifier
     ])
     def test_malformed_files(self, tmp_path, bad):
         with pytest.raises(ProblemFileError):
@@ -177,6 +180,15 @@ class TestCheckCommand:
     ])
     def test_too_deep_formula(self, tmp_path, capsys, formula):
         code = main(["check", write(tmp_path, f"[assess]\n{formula} / C = 1/2\n")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["A / B = 1e-300000", "A / B in [0, 1e-300000]"])
+    def test_literal_too_long(self, tmp_path, capsys, line):
+        # Refused from the text: as a Fraction its denominator has 300,001 digits.
+        start = time.perf_counter()
+        code = main(["check", write(tmp_path, f"[assess]\n{line}\n")])
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from probsyll import EPS, EpsRational
 
@@ -125,3 +125,113 @@ class TestInspection:
     def test_hash_agrees_with_rationals(self):
         assert hash(EpsRational(Fraction(3, 4))) == hash(Fraction(3, 4))
         assert len({EPS, EPS, EpsRational(0)}) == 2
+
+
+# -- an oracle that evaluates eps-polynomials exactly at a small rational eps0 --
+# Polynomials are coefficient lists, low order first; nothing below reads
+# EpsRational's representation.
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _lowest(p):
+    """(i, p_i) for the lowest nonzero coefficient, or None for the zero polynomial."""
+    return next(((i, c) for i, c in enumerate(p) if c), None)
+
+
+def _below_roots(polys):
+    """A rational eps0 > 0 such that no polynomial in polys has a root in (0, eps0].
+
+    If p = eps^k (a_k + a_(k+1) eps + ...) and M = max |a_i| over i > k, the
+    Cauchy bound on the reciprocal polynomial puts every nonzero root at
+    |eps| >= |a_k| / (|a_k| + M); eps0 is half the least such bound.
+    """
+    eps0 = Fraction(1, 2)
+    for p in polys:
+        low = _lowest(p)
+        if low:
+            k, a = low
+            m = max((abs(c) for c in p[k + 1:]), default=0)
+            eps0 = min(eps0, Fraction(abs(a), abs(a) + m) / 2)
+    return eps0
+
+
+def _at(p, eps0):
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * eps0 + c
+    return value
+
+
+def _limit(num, den):
+    """The limit of num / den as eps -> 0+, or None when it is unbounded."""
+    if _lowest(num) is None:
+        return Fraction(0)
+    (i, a), (j, b) = _lowest(num), _lowest(den)
+    if i != j:
+        return Fraction(0) if i > j else None
+    return Fraction(a, b)
+
+
+def _from_poly(coeffs):
+    """The polynomial as an EpsRational, built by public arithmetic only."""
+    value = EpsRational(0)
+    for c in reversed(coeffs):
+        value = value * EPS + c
+    return value
+
+
+def _sgn(q):
+    return (q > 0) - (q < 0)
+
+
+_coeffs = st.lists(st.integers(-3, 3), max_size=4)
+_nonconstant = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(lambda p: p[-1])
+
+
+class TestQuotientOracle:
+    """Quotients of eps-polynomials of degree <= 3 with non-constant denominators."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coeffs, _nonconstant, _coeffs, _nonconstant,
+           _coeffs.filter(any), st.integers(-3, 3))
+    def test_against_evaluation(self, n1, d1, n2, d2, f, c):
+        x = _from_poly(n1) / _from_poly(d1)
+        y = _from_poly(n2) / _from_poly(d2)
+        cross = _psub(_pmul(n1, d2), _pmul(n2, d1))
+        eps0 = _below_roots([n1, d1, n2, d2, cross])
+        vx, vy = _at(n1, eps0) / _at(d1, eps0), _at(n2, eps0) / _at(d2, eps0)
+        assert x.sign() == _sgn(vx)
+        assert (x < y) == (vx < vy)
+        assert (x > y) == (vx > vy)
+        assert (x == y) == (not any(cross))
+
+        # The same value as x with a common factor f, and the rational c
+        # over a non-constant denominator.
+        z = (_from_poly(n1) * _from_poly(f)) / (_from_poly(d1) * _from_poly(f))
+        w = _from_poly([c * k for k in d1]) / _from_poly(d1)
+        assert z == x and w == c
+        for u, v in ((x, y), (x, z), (w, EpsRational(c))):
+            if u == v:
+                assert hash(u) == hash(v)
+        assert hash(w) == hash(c)
+
+        limit = _limit(n1, d1)
+        for u in (x, z):
+            if limit is None:
+                with pytest.raises(OverflowError):
+                    u.standard_part()
+            else:
+                assert u.standard_part() == limit
+                assert u.is_rational() == (u == limit)
+        assert w.is_rational() and w.standard_part() == c
