@@ -9,14 +9,14 @@ traditional Aristotelian syllogisms under existential import.
 from .events import (
     Event, TOP, BOT, ConditionalEvent, Constituent, ConstituentTable,
     EventError, ParseError, ImpossibleAntecedent, LengthMismatch,
-    enumerate_constituents, points_for, parse_event, parse_conditional,
+    enumerate_constituents, parse_event, parse_conditional,
 )
 from .intervals import ExtensionInterval, OpenInterval
 from .infinitesimals import EPS, EpsRational
 from .coherence import (
-    LinearSystem, BoxAssessment, I0Result, InfeasibleSystem,
+    LinearSystem, I0Result, InfeasibleSystem,
     build_system, compute_I0, coherence_witness,
-    check_coherence, check_g_coherence, check_t_coherence_grid,
+    check_coherence, check_g_coherence,
 )
 from .simplex import Infeasible, Unbounded
 from .propagation import (

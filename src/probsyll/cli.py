@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from .coherence import (BoxAssessment, check_coherence, check_g_coherence,
-                        coherence_witness)
+from .coherence import check_coherence, check_g_coherence, coherence_witness
 from .events import (_ATOM, ConditionalEvent, EventError, ParseError,
                      parse_conditional, parse_event)
 from .figures import Figure, NotGCoherent
@@ -66,8 +66,8 @@ class ProblemFile:
     def point_values(self):
         return [iv.lower for _, iv in self.assessments]
 
-    def box(self) -> BoxAssessment:
-        return BoxAssessment.from_intervals([iv for _, iv in self.assessments])
+    def box(self) -> tuple:
+        return tuple(iv for _, iv in self.assessments)
 
 
 #: Digits the numerator or the denominator of a literal may have, an exponent
@@ -290,9 +290,9 @@ def _oracle_check_sigma(form: SyllogismForm, verdict, import_kind: ImportKind,
     from .figures import canonical_family
 
     family, target = canonical_family(form.figure)
-    box = BoxAssessment.from_intervals(list(premise_box(form, import_kind)))
     try:
-        hull = extension_union_sampled(family, box, target, grid_density=grid)
+        hull = extension_union_sampled(family, premise_box(form, import_kind), target,
+                                       grid_density=grid)
     except IncoherentPremises:
         return True
     closure = verdict.sigma.closure()
@@ -379,15 +379,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
-            return cmd_check(args.file, args.format)
-        if args.command == "propagate":
-            return cmd_propagate(args.file, args.format, args.grid, args.oracle)
-        if args.command == "syllogism":
-            return cmd_syllogism(args.name, args.import_kind, args.figure,
+            code = cmd_check(args.file, args.format)
+        elif args.command == "propagate":
+            code = cmd_propagate(args.file, args.format, args.grid, args.oracle)
+        elif args.command == "syllogism":
+            code = cmd_syllogism(args.name, args.import_kind, args.figure,
                                  args.format, args.oracle, args.grid)
-        if args.command == "catalog":
-            return cmd_catalog(args.format, args.defaults, args.import_kind)
-        raise AssertionError(args.command)
+        elif args.command == "catalog":
+            code = cmd_catalog(args.format, args.defaults, args.import_kind)
+        else:
+            raise AssertionError(args.command)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (`probsyll catalog | head -1`).  Point stdout at
+        # the null device, so that the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (ProblemFileError, ParseError, EventError, UnknownForm, NotGCoherent,
             IncoherentPremises, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

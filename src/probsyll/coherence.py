@@ -1,23 +1,31 @@
-"""Coherence of precise assessments and g-/t-coherence of box assessments.
+"""Coherence of precise assessments and g-coherence of box assessments.
 
 Coherence, g-coherence and the extension bounds of `propagation` share one
 construction, a `LinearSystem` over the masses lambda_h of the constituents
-C_1..C_m of a family, and one recursion on I0 = {j : max Phi_j = 0}, the
-antecedents that every solution forces to zero probability (Phi_j is the
-total mass of the constituents inside H_j).  A precise assessment P on F is
-coherent iff its system (S)
+C_1..C_m of a family, built by `build_system` from lower and upper bounds per
+event.  Each event j gives rows in points form: sum_h q_hj lambda_h, where
+q_hj is 1 on E_jH_j, 0 on not-E_j H_j and v off H_j, equals v = p_j for a
+precise value (lo = hi), or is >= lo and <= hi with v = lo and v = hi for a
+box; then sum_h lambda_h = 1.  Since the masses sum to one, the points-form
+row reads sum_{E_jH_j} lambda = v Phi_j, where Phi_j is the total mass of the
+constituents inside H_j.
 
-    sum_h q_hj lambda_h = p_j   (j = 1..n),   sum_h lambda_h = 1,   lambda >= 0
+A precise assessment P is coherent iff its system is solvable and, for any
+solution lambda, the sub-assessment on I0(lambda) = {j : Phi_j(lambda) = 0}
+is coherent (Gilio's criterion; coherence passes to sub-families, so one
+solution decides).  A box is g-coherent, i.e. holds some coherent point, iff
+its system is solvable and the sub-box on I0(lambda) is g-coherent for any
+solution lambda: a coherent point of that sub-box together with the ratios
+sum_{E_jH_j} lambda / Phi_j elsewhere is a coherent point of the box, with
+lambda solving its system, and every sub-box of a g-coherent box is
+g-coherent.  I0(lambda) is a strict subset of the indices (the masses sum to
+one), so the recursion terminates.  Both checks run the one recursion
+`_witness`, taking lambda to be the phase-1 witness, one LP per level;
+method="full" takes I0 = {j : max Phi_j = 0} over all solutions
+(`compute_I0`) instead, the literal criterion, as a reference.
 
-is solvable and, whenever I0 is nonempty, the sub-assessment restricted to
-those events is itself coherent; I0 is a strict subset of the indices when
-solutions exist, so the recursion terminates.  A box is g-coherent iff the
-same holds with the relaxed rows l_j Phi_j <= sum_{E_jH_j} lambda <= u_j Phi_j.
-
-The default precise check uses the subset variant of the criterion with the
-singleton {phase-1 witness}: I0' = {j : Phi_j(witness) = 0}; the variant is an
-exact characterization for any nonempty subset of the solution set, and avoids
-one LP per index.  method="full" runs the literal max-based recursion instead.
+Open faces of a box are shrunk an infinitesimal eps and decided exactly over
+Q(eps); see `check_g_coherence`.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .events import ConstituentTable, enumerate_constituents, points_for
+from .events import ConstituentTable, LengthMismatch, enumerate_constituents
 from .infinitesimals import EPS, EpsRational
 from .intervals import OpenInterval
 from .simplex import Infeasible, feasible_point, solve_lp
@@ -69,28 +77,35 @@ class LinearSystem:
                         maximize=True).value
 
 
-def homogeneous_row(table: ConstituentTable, j: int, p) -> tuple:
-    """Row of  sum_{E_jH_j} lambda - p sum_{H_j} lambda  over the constituents."""
-    # E_jH_j lies inside H_j, so each entry is 1 - p, -p or 0.
-    a, phi = table.indicators(j)
-    inside, outside = 1 - p, -p
-    return tuple((inside if ai else outside) if pi else 0 for ai, pi in zip(a, phi))
-
-
 @dataclass(frozen=True)
 class I0Result:
     maxima: tuple  # M_j per assessment row
     zero_set: tuple  # sorted indices j with M_j = 0
 
 
-def build_system(table: ConstituentTable, assessment) -> LinearSystem:
-    """System (S) for (F, P): solution set {L : P = sum l_h Q_h, sum l_h = 1, l >= 0}."""
-    points = points_for(table, assessment)
+def build_system(table: ConstituentTable, lowers: Sequence, uppers: Sequence) -> LinearSystem:
+    """The system of the box lowers <= P <= uppers on table's family, in points form.
+
+    One "=" row per event with lo == hi (a precise value), else a ">= lo" and a
+    "<= hi" row, then sum lambda = 1.  Entries are taken from the bounds
+    unchanged, so any exact type with rational semantics works (Fraction, or
+    EpsRational for shrunk open faces).  Raises LengthMismatch, or ValueError
+    unless 0 <= lo <= hi <= 1.
+    """
     n = len(table.family)
-    rows = [tuple(q[j] for q in points) for j in range(n)]
+    if not len(lowers) == len(uppers) == n:
+        raise LengthMismatch(f"assessment length {len(lowers)} != family length {n}")
+    rows, senses, rhs = [], [], []
+    columns = zip(*(c.cells for c in table.constituents))  # cells of event j per C_h
+    for lo, hi, cells in zip(lowers, uppers, columns):
+        if not 0 <= lo <= hi <= 1:
+            raise ValueError(f"assessment bounds [{lo}, {hi}] not within [0, 1]")
+        for v, sense in ((lo, "="),) if lo == hi else ((lo, ">="), (hi, "<=")):
+            rows.append(tuple(map({True: 1, False: 0, None: v}.__getitem__, cells)))
+            senses.append(sense)
+            rhs.append(v)
     rows.append((1,) * table.m)
-    return LinearSystem(table, tuple(rows), ("=",) * (n + 1),
-                        tuple(list(assessment) + [1]))
+    return LinearSystem(table, tuple(rows), tuple(senses) + ("=",), tuple(rhs) + (1,))
 
 
 def compute_I0(system: LinearSystem) -> I0Result:
@@ -102,13 +117,10 @@ def compute_I0(system: LinearSystem) -> I0Result:
     return I0Result(maxima, tuple(j for j, mj in enumerate(maxima) if mj == 0))
 
 
-def coherence_witness(family: Iterable, assessment: Sequence,
-                      method: str = "witness") -> Optional[list]:
-    """A solution of the top-level system (S) if the assessment is coherent, else None."""
-    family = tuple(family)
-    values = [Fraction(v) if not isinstance(v, EpsRational) else v for v in assessment]
+def _witness(family: tuple, lowers: list, uppers: list, method: str) -> Optional[list]:
+    """A solution of the box's system if the box holds a coherent point, else None."""
     table = enumerate_constituents(family)
-    system = build_system(table, values)
+    system = build_system(table, lowers, uppers)
     witness = system.witness()
     if witness is None:
         return None
@@ -116,15 +128,23 @@ def coherence_witness(family: Iterable, assessment: Sequence,
         # Masses are nonnegative: Phi_j(witness) = 0 iff no H_j block has mass.
         zero = [j for j in range(len(family))
                 if not any(l for l, h in zip(witness, table.indicators(j)[1]) if h)]
-    elif method == "full":
-        zero = list(compute_I0(system).zero_set)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        zero = compute_I0(system).zero_set
     if zero:
         assert len(zero) < len(family)
-        if not check_coherence([family[j] for j in zero], [values[j] for j in zero], method):
+        if _witness(tuple(family[j] for j in zero), [lowers[j] for j in zero],
+                    [uppers[j] for j in zero], method) is None:
             return None
     return witness
+
+
+def coherence_witness(family: Iterable, assessment: Sequence,
+                      method: str = "witness") -> Optional[list]:
+    """A solution of the top-level system (S) if the assessment is coherent, else None."""
+    if method not in ("witness", "full"):
+        raise ValueError(f"unknown method {method!r}")
+    values = [Fraction(v) if not isinstance(v, EpsRational) else v for v in assessment]
+    return _witness(tuple(family), values, values, method)
 
 
 def check_coherence(family: Iterable, assessment: Sequence, method: str = "witness") -> bool:
@@ -132,88 +152,7 @@ def check_coherence(family: Iterable, assessment: Sequence, method: str = "witne
     return coherence_witness(family, assessment, method) is not None
 
 
-# ---------------------------------------------------------------------------
-# Box assessments.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoxAssessment:
-    """Interval bounds per component, with endpoint-openness flags."""
-
-    lowers: tuple
-    uppers: tuple
-    lower_open: tuple
-    upper_open: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lowers", tuple(Fraction(v) for v in self.lowers))
-        object.__setattr__(self, "uppers", tuple(Fraction(v) for v in self.uppers))
-        object.__setattr__(self, "lower_open", tuple(bool(b) for b in self.lower_open))
-        object.__setattr__(self, "upper_open", tuple(bool(b) for b in self.upper_open))
-        sizes = {len(self.lowers), len(self.uppers), len(self.lower_open), len(self.upper_open)}
-        if len(sizes) != 1:
-            raise ValueError("component lists have different lengths")
-        for lo, hi, lo_o, hi_o in zip(self.lowers, self.uppers,
-                                      self.lower_open, self.upper_open):
-            if not 0 <= lo <= hi <= 1:
-                raise ValueError(f"bad component bounds [{lo}, {hi}]")
-            if lo == hi and (lo_o or hi_o):
-                raise ValueError("degenerate component must be closed")
-
-    @classmethod
-    def from_intervals(cls, intervals: Sequence[OpenInterval]) -> "BoxAssessment":
-        return cls(
-            tuple(iv.lower for iv in intervals),
-            tuple(iv.upper for iv in intervals),
-            tuple(iv.lower_open for iv in intervals),
-            tuple(iv.upper_open for iv in intervals),
-        )
-
-    @classmethod
-    def point(cls, values) -> "BoxAssessment":
-        vals = tuple(Fraction(v) for v in values)
-        flags = (False,) * len(vals)
-        return cls(vals, vals, flags, flags)
-
-    def intervals(self) -> tuple:
-        return tuple(
-            OpenInterval(lo, hi, lo_o, hi_o)
-            for lo, hi, lo_o, hi_o in zip(self.lowers, self.uppers,
-                                          self.lower_open, self.upper_open)
-        )
-
-    @property
-    def has_open_faces(self) -> bool:
-        return any(self.lower_open) or any(self.upper_open)
-
-    def __len__(self):
-        return len(self.lowers)
-
-
-def _g_coherent(family: tuple, lowers: list, uppers: list) -> bool:
-    """Relaxed-system solvability with the I0 recursion on the sub-box."""
-    table = enumerate_constituents(family)
-    rows, senses = [], []
-    for j, (lo, hi) in enumerate(zip(lowers, uppers)):
-        rows += [homogeneous_row(table, j, lo), homogeneous_row(table, j, hi)]
-        senses += [">=", "<="]
-    system = LinearSystem(table, tuple(rows) + ((1,) * table.m,),
-                          tuple(senses) + ("=",), (0,) * len(rows) + (1,))
-    try:
-        zero = compute_I0(system).zero_set
-    except InfeasibleSystem:
-        return False
-    if not zero:
-        return True
-    assert len(zero) < len(family)
-    return _g_coherent(
-        tuple(family[j] for j in zero),
-        [lowers[j] for j in zero],
-        [uppers[j] for j in zero],
-    )
-
-
-def check_g_coherence(family: Iterable, box: BoxAssessment) -> bool:
+def check_g_coherence(family: Iterable, box: Sequence[OpenInterval]) -> bool:
     """True iff some precise point of the box (respecting openness) is coherent.
 
     Open faces are shrunk an infinitesimal amount and the decision runs exactly
@@ -221,39 +160,33 @@ def check_g_coherence(family: Iterable, box: BoxAssessment) -> bool:
     and signs in Q(eps) are the eventual signs for small real eps.  Closed
     faces stay rational, so a closed box is decided over Q alone.
     """
-    lowers = [lo + EPS if lo_o else lo for lo, lo_o in zip(box.lowers, box.lower_open)]
-    uppers = [hi - EPS if hi_o else hi for hi, hi_o in zip(box.uppers, box.upper_open)]
-    return _g_coherent(tuple(family), lowers, uppers)
+    lowers = [iv.lower + EPS if iv.lower_open else iv.lower for iv in box]
+    uppers = [iv.upper - EPS if iv.upper_open else iv.upper for iv in box]
+    return _witness(tuple(family), lowers, uppers, "witness") is not None
 
 
-def grid_points(box: BoxAssessment, grid_density: int):
+def grid_points(box: Sequence[OpenInterval], grid_density: int):
     """Cartesian rational grid inside the box, skipping open endpoints.
 
     Raises ValueError when the grid would have more than MAX_GRID_POINTS points.
     """
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
-    count = prod(1 if lo == hi else max(1, grid_density - lo_o - hi_o)
-                 for lo, hi, lo_o, hi_o in zip(box.lowers, box.uppers,
-                                               box.lower_open, box.upper_open))
+    count = prod(1 if iv.is_point else max(1, grid_density - iv.lower_open - iv.upper_open)
+                 for iv in box)
     if count > MAX_GRID_POINTS:
         raise ValueError(f"grid of {count} points exceeds {MAX_GRID_POINTS}")
     axes = []
-    for lo, hi, lo_o, hi_o in zip(box.lowers, box.uppers, box.lower_open, box.upper_open):
+    for iv in box:
+        lo, hi = iv.lower, iv.upper
         if lo == hi:
             axes.append([lo])
             continue
-        step = Fraction(hi - lo, grid_density - 1)
+        step = (hi - lo) / (grid_density - 1)
         vals = [lo + i * step for i in range(grid_density)]
-        if lo_o:
+        if iv.lower_open:
             vals = vals[1:] if len(vals) > 1 else [lo + (hi - lo) / 2]
-        if hi_o:
+        if iv.upper_open:
             vals = vals[:-1] if len(vals) > 1 else [lo + (hi - lo) / 2]
         axes.append(vals)
     yield from product(*axes)
-
-
-def check_t_coherence_grid(family: Iterable, box: BoxAssessment, grid_density: int) -> bool:
-    """True iff every grid point of the box passes check_coherence."""
-    family = tuple(family)
-    return all(check_coherence(family, point) for point in grid_points(box, grid_density))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from fractions import Fraction
 from operator import and_, or_
 from typing import Iterable, Mapping, Optional
 
@@ -412,26 +411,3 @@ def _table(family: tuple) -> ConstituentTable:
     residual = Constituent(0, residual, width, void) if residual else None
     return ConstituentTable(family, tuple(names), constituents, residual)
 
-
-def points_for(table: ConstituentTable, assessment) -> list:
-    """Points Q_h associated with C_1..C_m: entries 1, 0 or p_j per cell.
-
-    Entries are taken from the assessment unchanged, so any exact numeric type
-    with rational semantics works (Fraction, or the infinitesimal field used
-    for open-endpoint analysis).
-    """
-    values = list(assessment)
-    if len(values) != len(table.family):
-        raise LengthMismatch(
-            f"assessment length {len(values)} != family length {len(table.family)}"
-        )
-    for v in values:
-        if not 0 <= v <= 1:
-            raise ValueError(f"assessment value {v} outside [0, 1]")
-    return [
-        tuple(
-            p if cell is None else (1 if cell else 0)
-            for cell, p in zip(c.cells, values)
-        )
-        for c in table.constituents
-    ]

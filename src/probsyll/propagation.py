@@ -4,10 +4,11 @@ Given a coherent precise assessment P on F = (E_1|H_1, ..., E_n|H_n) and a
 target E_{n+1}|H_{n+1}, the set of coherent values z for the target is a closed
 interval [z', z''].  Each bound is found by probing z = 0 (resp. z = 1):
 
-  Step 0  build system (6) over the constituents of the extended family, with
-          every row in homogeneous form  sum_{E_jH_j} l  =  p_j sum_{H_j} l;
+  Step 0  build system (6) over the constituents of the extended family, the
+          premise rows and the probe row in points form, with sum l = 1;
   Step 1  if the probe value solves the system, go to Step 3, else Step 2;
-  Step 2  optimize  sum_{E_{n+1}H_{n+1}} l  subject to the premise rows and
+  Step 2  optimize  sum_{E_{n+1}H_{n+1}} l  subject to the premise rows in
+          homogeneous form, sum_{E_jH_j} l = p_j sum_{H_j} l, and
           sum_{H_{n+1}} l = 1; the optimum is the bound;
   Step 3  compute the maxima M_j of the antecedent masses over the probe
           solutions: if M_{n+1} > 0 the probe value is the bound; if
@@ -24,10 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .coherence import (BoxAssessment, LinearSystem, check_coherence, grid_points,
-                        homogeneous_row)
+from .coherence import build_system, check_coherence, grid_points
 from .events import ConditionalEvent, enumerate_constituents
-from .intervals import ExtensionInterval
+from .intervals import ExtensionInterval, OpenInterval
 from .simplex import Infeasible, solve_lp
 
 
@@ -41,16 +41,17 @@ def _probe(family, values, target, probe, maximize):
     for _ in range(len(family) + 1):
         table = enumerate_constituents(tuple(fam) + (target,))
         n = len(fam)  # the target's index in the extended family
-        premises = [homogeneous_row(table, j, vals[j]) for j in range(n)]
-        system = LinearSystem(table,
-                              tuple(premises) + (homogeneous_row(table, n, probe),
-                                                 (1,) * table.m),
-                              ("=",) * (n + 2), (0,) * (n + 1) + (1,))
+        point = vals + [probe]
+        system = build_system(table, point, point)
         try:
             # Step 1 solvability and the Step-3 maximum M_{n+1} in one solve.
             m_t = system.maximum(n)
         except Infeasible:
-            # Step 2.
+            # Step 2, over the premise rows in homogeneous form: a points-form
+            # row minus p_j times sum lambda = 1 reads sum_{E_jH_j} l = p_j Phi_j.
+            # Its entries 1, 0 and p_j become 1 - p_j, -p_j and 0.
+            premises = [tuple(map({1: 1 - p, 0: -p, p: 0}.__getitem__, row))
+                        for row, p in zip(system.rows, vals)]
             a_t, phi_t = table.indicators(n)
             try:
                 return Fraction(solve_lp(a_t, premises + [phi_t], ["="] * (n + 1),
@@ -83,7 +84,7 @@ def extension_bounds(family: Iterable, assessment: Sequence,
     return ExtensionInterval(lower, upper)
 
 
-def extension_union_sampled(family: Iterable, box: BoxAssessment,
+def extension_union_sampled(family: Iterable, box: Sequence[OpenInterval],
                             target: ConditionalEvent,
                             grid_density: int = 5) -> ExtensionInterval:
     """Hull of extension_bounds over the coherent grid points of the box.

@@ -80,9 +80,9 @@ class TestProblemFiles:
     def test_load_box(self, tmp_path):
         problem = load_problem(write(tmp_path, BOX_PROBLEM))
         assert not problem.is_precise
-        box = problem.box()
-        assert box.lowers == (0, F(9, 10), F(1, 2))
-        assert box.uppers == (F(1, 4), 1, 1)
+        assert problem.box() == (OpenInterval.closed(0, F(1, 4)),
+                                 OpenInterval.closed(F(9, 10), 1),
+                                 OpenInterval.closed(F(1, 2), 1))
 
     def test_event_definitions_substituted(self, tmp_path):
         text = """
@@ -196,6 +196,24 @@ class TestCheckCommand:
         code = main(["check", str(tmp_path / "nope.txt")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadBounds:
+    """Values outside [0, 1] and empty intervals end in exit 2 and one message."""
+
+    @pytest.mark.parametrize("command", ["check", "propagate"])
+    @pytest.mark.parametrize("line", [
+        "A / B in [1/2, 2]",
+        "A / B = 3/2",
+        "A / B in (1/2, 1/2]",
+    ])
+    def test_rejected(self, tmp_path, capsys, command, line):
+        text = f"[assess]\n{line}\n" + ("[target]\nC / B\n" if command == "propagate" else "")
+        code = main([command, write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestPropagateCommand:
@@ -333,3 +351,27 @@ class TestCatalogCommand:
         assert all(f["sigma"] == {"lower": "0", "upper": "1",
                                   "lower_open": False, "upper_open": False}
                    for f in report["forms"])
+
+    def test_closed_stdout(self, tmp_path, monkeypatch, capsys):
+        # `probsyll catalog --defaults | head -1`: the reader has gone.
+        class Closed:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", Closed(target.fileno()))
+            code = main(["catalog", "--defaults"])
+            assert code == 2
+            assert capsys.readouterr().err == ""
+            # The descriptor now writes to the null device, so the flush at
+            # interpreter exit has somewhere to go.
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from probsyll import (
     Event, TOP, BOT, ConditionalEvent, ImpossibleAntecedent, LengthMismatch,
-    ParseError, EventError, enumerate_constituents, points_for,
-    parse_event, parse_conditional,
+    OpenInterval, ParseError, EventError, build_system, check_coherence,
+    check_g_coherence, enumerate_constituents, parse_event, parse_conditional,
 )
 
 T, F = True, False
@@ -325,10 +325,13 @@ class TestEnumeration:
 
 
 class TestPoints:
+    """The points Q_h of the constituents are the columns of the precise system."""
+
     def test_points_for_figure3(self, families):
         table = enumerate_constituents(families["fig3_premise"])
         x, y, t = Fraction(7, 10), Fraction(4, 5), Fraction(1, 2)
-        assert points_for(table, [x, y, t]) == [
+        rows = build_system(table, [x, y, t], [x, y, t]).rows[:3]
+        assert list(zip(*rows)) == [
             (1, 1, 1),
             (0, 1, 1),
             (x, y, 0),
@@ -337,11 +340,18 @@ class TestPoints:
         ]
 
     def test_length_mismatch(self, families):
-        table = enumerate_constituents(families["fig3_premise"])
+        fam = families["fig3_premise"]
         with pytest.raises(LengthMismatch):
-            points_for(table, [Fraction(1, 2)])
+            check_coherence(fam, [Fraction(1, 2)])
+        with pytest.raises(LengthMismatch):
+            check_g_coherence(fam, [OpenInterval.point(Fraction(1, 2))])
 
     def test_range_check(self, families):
-        table = enumerate_constituents(families["fig3_premise"])
+        fam = families["fig3_premise"]
+        half = Fraction(1, 2)
         with pytest.raises(ValueError):
-            points_for(table, [Fraction(1, 2), Fraction(3, 2), Fraction(1, 2)])
+            check_coherence(fam, [half, Fraction(3, 2), half])
+        with pytest.raises(ValueError):
+            check_g_coherence(fam, [OpenInterval.point(half),
+                                    OpenInterval.closed(half, Fraction(3, 2)),
+                                    OpenInterval.point(half)])

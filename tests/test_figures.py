@@ -9,7 +9,7 @@ from probsyll import (
     ExtensionInterval, Figure, NotGCoherent, OpenInterval, canonical_family,
     figure_bounds, figure_box_bounds, sigma_with_openness,
 )
-from probsyll.coherence import BoxAssessment, grid_points
+from probsyll.coherence import grid_points
 from conftest import unit_triples
 
 F = Fraction
@@ -99,7 +99,7 @@ class TestBoxFormulas:
         lows = tuple(min(a, b) for a, b in zip(corner_a, corner_b))
         highs = tuple(max(a, b) for a, b in zip(corner_a, corner_b))
         box = tuple(zip(lows, highs))
-        assessment = BoxAssessment(lows, highs, (False,) * 3, (False,) * 3)
+        assessment = tuple(OpenInterval.closed(lo, hi) for lo, hi in box)
         for figure in Figure:
             hull = figure_box_bounds(figure, box)
             for point in grid_points(assessment, 2):

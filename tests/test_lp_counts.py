@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from probsyll import (BoxAssessment, Figure, canonical_family, check_coherence,
+from probsyll import (Figure, OpenInterval, canonical_family, check_coherence,
                       check_g_coherence, extension_bounds)
 from probsyll import simplex
 
@@ -50,12 +50,12 @@ def test_check_coherence(lp_calls, families):
 
 
 @pytest.mark.parametrize("lower_open, lps", [
-    # Two I0 levels (t = 0 starves B|A): 3 + 1 maxima, the first maximum of
-    # each level also deciding whether its system is solvable.
-    ((False, False, False), 4),
-    ((True, False, False), 4),
+    # Two I0 levels (t = 0 starves B|A), one phase-1 witness each.
+    ((False, False, False), 2),
+    ((True, False, False), 2),
 ])
 def test_check_g_coherence(lp_calls, families, lower_open, lps):
-    box = BoxAssessment((F(1, 2), F(1, 2), 0), (1, 1, 0), lower_open, (False,) * 3)
+    box = (OpenInterval(F(1, 2), 1, lower_open[0]), OpenInterval(F(1, 2), 1, lower_open[1]),
+           OpenInterval.point(0))
     assert check_g_coherence(families["fig1_premise"], box)
     assert len(lp_calls) == lps

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from probsyll import (
-    BoxAssessment, ExtensionInterval, Figure, IncoherentPremises,
+    ExtensionInterval, Figure, IncoherentPremises, OpenInterval,
     canonical_family, extension_bounds, extension_union_sampled, figure_bounds,
     parse_conditional,
 )
@@ -88,33 +88,33 @@ class TestSampledUnion:
     def test_degenerate_box_equals_precise(self):
         family, target = canonical_family(Figure.III)
         values = (F(7, 10), F(4, 5), F(1, 2))
-        box = BoxAssessment.point(values)
+        box = tuple(OpenInterval.point(v) for v in values)
         assert extension_union_sampled(family, box, target) \
             == extension_bounds(family, list(values), target)
 
     def test_figure2_box_hull(self):
         family, target = canonical_family(Figure.II)
-        box = BoxAssessment((1, F(3, 4), F(1, 2)), (1, 1, 1),
-                            (False,) * 3, (False,) * 3)
+        box = (OpenInterval.point(1), OpenInterval.closed(F(3, 4), 1),
+               OpenInterval.closed(F(1, 2), 1))
         assert extension_union_sampled(family, box, target) \
             == ExtensionInterval(F(3, 4), 1)
 
     def test_figure2_wider_box_hull(self):
         family, target = canonical_family(Figure.II)
-        box = BoxAssessment((F(9, 10), F(3, 4), F(1, 2)), (1, 1, 1),
-                            (False,) * 3, (False,) * 3)
+        box = (OpenInterval.closed(F(9, 10), 1), OpenInterval.closed(F(3, 4), 1),
+               OpenInterval.closed(F(1, 2), 1))
         assert extension_union_sampled(family, box, target, grid_density=3) \
             == ExtensionInterval(F(11, 18), 1)
 
     def test_incoherent_points_skipped(self):
         fam = (ce("A / A"),)
-        box = BoxAssessment((F(1, 2),), (1,), (False,), (False,))
+        box = (OpenInterval.closed(F(1, 2), 1),)
         # only the endpoint 1 is coherent; there p(B|A) is unconstrained
         assert extension_union_sampled(fam, box, ce("B / A")) \
             == ExtensionInterval(0, 1)
 
     def test_no_coherent_point_raises(self):
         fam = (ce("A / A"),)
-        box = BoxAssessment((0,), (F(1, 2),), (False,), (False,))
+        box = (OpenInterval.closed(0, F(1, 2)),)
         with pytest.raises(IncoherentPremises):
             extension_union_sampled(fam, box, ce("B / A"))

@@ -1,6 +1,7 @@
 """Syllogistic verdicts, defaults translation, p-entailment, quantifiers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -165,6 +166,19 @@ class TestCatalog:
         form = SyllogismForm(Figure.II, parse_mood("AAA"))
         verdict = evaluate_syllogism(form, ImportKind.CONDITIONAL)
         assert not verdict.valid
+
+    @pytest.mark.parametrize("import_kind", list(ImportKind))
+    def test_all_moods(self, import_kind):
+        # Of the 64 moods in each of Figures I-III, exactly the 18 catalog
+        # forms are valid under either import, and none without import.
+        valid = {(form.figure, form.mood) for form in catalog()}
+        found = set()
+        for figure in Figure:
+            for mood in product("AEIO", repeat=3):
+                form = SyllogismForm(figure, parse_mood("".join(mood)))
+                if evaluate_syllogism(form, import_kind).valid:
+                    found.add((figure, form.mood))
+        assert found == (set() if import_kind is ImportKind.NONE else valid)
 
 
 class TestDefaults:
