@@ -104,10 +104,13 @@ def parse_value_set(text: str) -> OpenInterval:
         return OpenInterval.point(parse_rational(m.group(1)))
     m = _INTERVAL_RE.match(text)
     if m:
-        return OpenInterval(
-            parse_rational(m.group(2)), parse_rational(m.group(3)),
-            lower_open=m.group(1) == "(", upper_open=m.group(4) == ")",
-        )
+        try:
+            return OpenInterval(
+                parse_rational(m.group(2)), parse_rational(m.group(3)),
+                lower_open=m.group(1) == "(", upper_open=m.group(4) == ")",
+            )
+        except ValueError as exc:  # an empty interval
+            raise ProblemFileError(f"bad interval {text!r}: {exc}") from exc
     return OpenInterval.point(parse_rational(text))
 
 
@@ -343,7 +346,7 @@ def cmd_catalog(fmt: str = "text", defaults: bool = False,
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probsyll",
         description="Coherence-based probabilistic reasoning over conditional events.")
@@ -375,8 +378,15 @@ def main(argv=None) -> int:
                        choices=("none", "conditional", "unconditional"),
                        default="conditional")
     p_cat.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
 
-    args = parser.parse_args(argv)
+
+#: Built once: parse_args keeps no state between calls, so `main` reuses it.
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "check":
             code = cmd_check(args.file, args.format)

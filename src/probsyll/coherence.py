@@ -20,9 +20,14 @@ sum_{E_jH_j} lambda / Phi_j elsewhere is a coherent point of the box, with
 lambda solving its system, and every sub-box of a g-coherent box is
 g-coherent.  I0(lambda) is a strict subset of the indices (the masses sum to
 one), so the recursion terminates.  Both checks run the one recursion
-`_witness`, taking lambda to be the phase-1 witness, one LP per level;
-method="full" takes I0 = {j : max Phi_j = 0} over all solutions
+`_witness`, taking lambda to be the phase-1 witness, one phase 1 and no
+phase 2 per level; I0(lambda) is read from the basic columns with positive
+mass.  method="full" takes I0 = {j : max Phi_j = 0} over all solutions
 (`compute_I0`) instead, the literal criterion, as a reference.
+
+A `LinearSystem` solves its phase 1 once, on first use, and keeps the basis:
+`witness()` reads it, and `maximum(j)` is a phase 2 from it, so `compute_I0`
+costs one phase 1 and n phase 2s.
 
 Open faces of a box are shrunk an infinitesimal eps and decided exactly over
 Q(eps); see `check_g_coherence`.
@@ -31,6 +36,7 @@ Q(eps); see `check_g_coherence`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -39,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 from .events import ConstituentTable, LengthMismatch, enumerate_constituents
 from .infinitesimals import EPS, EpsRational
 from .intervals import OpenInterval
-from .simplex import Infeasible, feasible_point, solve_lp
+from .simplex import FeasibleBasis, Infeasible, phase1, phase2
 
 #: Cap on the number of points `grid_points` may enumerate; each point costs
 #: at least one coherence check.
@@ -67,14 +73,32 @@ class LinearSystem:
     def ncols(self) -> int:
         return self.table.m
 
+    @cached_property
+    def basis(self) -> Optional[FeasibleBasis]:
+        """The system's one phase-1 solve, or None if it has no solution."""
+        try:
+            return phase1(self.rows, self.senses, self.rhs, self.ncols)
+        except Infeasible:
+            return None
+
     def witness(self) -> Optional[list]:
-        """A solution (exact phase-1 simplex), or None if there is none."""
-        return feasible_point(self.rows, self.senses, self.rhs)
+        """The phase-1 solution, or None if there is none."""
+        return None if self.basis is None else self.basis.point()
 
     def maximum(self, j: int):
-        """max Phi_j, the mass inside H_j, over the solutions; raises Infeasible."""
-        return solve_lp(self.table.indicators(j)[1], self.rows, self.senses, self.rhs,
-                        maximize=True).value
+        """max Phi_j, the mass inside H_j, over the solutions; raises Infeasible.
+
+        A phase 2 from the system's phase-1 basis, so no phase 1 is repeated.
+        """
+        if self.basis is None:
+            raise Infeasible("the system is unsolvable")
+        return phase2(self.basis, self.table.indicators(j)[1], maximize=True).value
+
+    def positive(self) -> set:
+        """The j with Phi_j(witness) > 0, hence M_j > 0: the events whose H_j
+        holds a constituent that the phase-1 solution gives positive mass."""
+        cells = [self.table.constituents[h].cells for h in self.basis.support()]
+        return {j for j in range(len(self.table.family)) if any(c[j] is not None for c in cells)}
 
 
 @dataclass(frozen=True)
@@ -98,9 +122,10 @@ def build_system(table: ConstituentTable, lowers: Sequence, uppers: Sequence) ->
     rows, senses, rhs = [], [], []
     columns = zip(*(c.cells for c in table.constituents))  # cells of event j per C_h
     for lo, hi, cells in zip(lowers, uppers, columns):
-        if not 0 <= lo <= hi <= 1:
+        point = lo is hi or lo == hi  # a precise value is usually one object
+        if not (0 <= lo <= 1 if point else 0 <= lo < hi <= 1):
             raise ValueError(f"assessment bounds [{lo}, {hi}] not within [0, 1]")
-        for v, sense in ((lo, "="),) if lo == hi else ((lo, ">="), (hi, "<=")):
+        for v, sense in ((lo, "="),) if point else ((lo, ">="), (hi, "<=")):
             rows.append(tuple(map({True: 1, False: 0, None: v}.__getitem__, cells)))
             senses.append(sense)
             rhs.append(v)
@@ -109,7 +134,10 @@ def build_system(table: ConstituentTable, lowers: Sequence, uppers: Sequence) ->
 
 
 def compute_I0(system: LinearSystem) -> I0Result:
-    """Maxima M_j of Phi_j over the solution set, and I0 = {j : M_j = 0}."""
+    """Maxima M_j of Phi_j over the solution set, and I0 = {j : M_j = 0}.
+
+    The system's one phase 1, then a phase 2 per event from its basis.
+    """
     try:
         maxima = tuple(system.maximum(j) for j in range(len(system.table.family)))
     except Infeasible as exc:
@@ -117,17 +145,14 @@ def compute_I0(system: LinearSystem) -> I0Result:
     return I0Result(maxima, tuple(j for j, mj in enumerate(maxima) if mj == 0))
 
 
-def _witness(family: tuple, lowers: list, uppers: list, method: str) -> Optional[list]:
-    """A solution of the box's system if the box holds a coherent point, else None."""
-    table = enumerate_constituents(family)
-    system = build_system(table, lowers, uppers)
-    witness = system.witness()
-    if witness is None:
+def _witness(family: tuple, lowers: list, uppers: list, method: str) -> Optional[LinearSystem]:
+    """The box's system if the box holds a coherent point, else None."""
+    system = build_system(enumerate_constituents(family), lowers, uppers)
+    if system.basis is None:
         return None
     if method == "witness":
-        # Masses are nonnegative: Phi_j(witness) = 0 iff no H_j block has mass.
-        zero = [j for j in range(len(family))
-                if not any(l for l, h in zip(witness, table.indicators(j)[1]) if h)]
+        positive = system.positive()
+        zero = [j for j in range(len(family)) if j not in positive]
     else:
         zero = compute_I0(system).zero_set
     if zero:
@@ -135,21 +160,28 @@ def _witness(family: tuple, lowers: list, uppers: list, method: str) -> Optional
         if _witness(tuple(family[j] for j in zero), [lowers[j] for j in zero],
                     [uppers[j] for j in zero], method) is None:
             return None
-    return witness
+    return system
 
 
-def coherence_witness(family: Iterable, assessment: Sequence,
-                      method: str = "witness") -> Optional[list]:
-    """A solution of the top-level system (S) if the assessment is coherent, else None."""
+def _precise(family: Iterable, assessment: Sequence, method: str) -> Optional[LinearSystem]:
+    """`_witness` on a precise assessment, its values made exact."""
     if method not in ("witness", "full"):
         raise ValueError(f"unknown method {method!r}")
     values = [Fraction(v) if not isinstance(v, EpsRational) else v for v in assessment]
     return _witness(tuple(family), values, values, method)
 
 
+def coherence_witness(family: Iterable, assessment: Sequence,
+                      method: str = "witness") -> Optional[list]:
+    """The phase-1 solution of the top-level system (S) if the assessment is
+    coherent, else None."""
+    system = _precise(family, assessment, method)
+    return None if system is None else system.witness()
+
+
 def check_coherence(family: Iterable, assessment: Sequence, method: str = "witness") -> bool:
     """Coherence of a precise assessment via the I0 reduction."""
-    return coherence_witness(family, assessment, method) is not None
+    return _precise(family, assessment, method) is not None
 
 
 def check_g_coherence(family: Iterable, box: Sequence[OpenInterval]) -> bool:

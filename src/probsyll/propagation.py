@@ -7,6 +7,8 @@ interval [z', z''].  Each bound is found by probing z = 0 (resp. z = 1):
   Step 0  build system (6) over the constituents of the extended family, the
           premise rows and the probe row in points form, with sum l = 1;
   Step 1  if the probe value solves the system, go to Step 3, else Step 2;
+          this is the system's one phase-1 solve, which also yields a
+          witness solution;
   Step 2  optimize  sum_{E_{n+1}H_{n+1}} l  subject to the premise rows in
           homogeneous form, sum_{E_jH_j} l = p_j sum_{H_j} l, and
           sum_{H_{n+1}} l = 1; the optimum is the bound;
@@ -15,6 +17,11 @@ interval [z', z''].  Each bound is found by probing z = 0 (resp. z = 1):
           M_{n+1} = 0 but M_j > 0 for every premise, the probe value is the
           bound (no witness exists in this boundary case); otherwise the
           procedure restarts with the subfamily J = {j : M_j = 0}.
+
+Step 3 only asks whether each M_j is zero.  Where the Step-1 witness puts
+mass inside H_j, it shows M_j > 0 with no LP; a maximum is computed, as a
+phase 2 from the Step-1 basis, only for the target and for the premises the
+witness leaves empty.
 
 The restart strictly shrinks the premise family, so the number of cycles is
 finite (at most n).
@@ -43,10 +50,7 @@ def _probe(family, values, target, probe, maximize):
         n = len(fam)  # the target's index in the extended family
         point = vals + [probe]
         system = build_system(table, point, point)
-        try:
-            # Step 1 solvability and the Step-3 maximum M_{n+1} in one solve.
-            m_t = system.maximum(n)
-        except Infeasible:
+        if system.basis is None:
             # Step 2, over the premise rows in homogeneous form: a points-form
             # row minus p_j times sum lambda = 1 reads sum_{E_jH_j} l = p_j Phi_j.
             # Its entries 1, 0 and p_j become 1 - p_j, -p_j and 0.
@@ -58,10 +62,12 @@ def _probe(family, values, target, probe, maximize):
                                          [0] * n + [1], maximize=maximize).value)
             except Infeasible as exc:  # pragma: no cover - excluded by coherence
                 raise AssertionError("Step-2 program infeasible for coherent premises") from exc
-        # Step 3.
-        if m_t > 0:
+        # Step 3.  M_j > 0 wherever the Step-1 witness puts mass in H_j; the
+        # other maxima are phase 2s from the same basis.
+        positive = system.positive()
+        if n in positive or system.maximum(n) > 0:
             return Fraction(probe)
-        zero = [j for j in range(n) if system.maximum(j) == 0]
+        zero = [j for j in range(n) if j not in positive and system.maximum(j) == 0]
         if not zero:
             # Boundary case: the bound equals the probe value but admits
             # no witness with positive target-antecedent probability.

@@ -37,6 +37,17 @@ terminates, and returns the same optimum, witness and exceptions.
 Redundant equality rows keep their artificial basic at 0 instead of being
 deleted: they are zero on every other column, and deleting one would break
 the exactness of the division by d.
+
+The two phases are separate steps.  `phase1` drives the artificials out and
+returns the tableau as a `FeasibleBasis`; `phase2` runs Bland's rule for one
+objective on a copy of it, so one phase 1 serves every objective over the
+same rows.  Phase 1 never reads the objective, so a phase 2 from a shared
+basis pivots exactly as a separate solve would and returns the same optimum
+and vertex.  `solve_lp` is `phase1` then `phase2`; `feasible_point` is
+`phase1` alone, whose basic solution is what a zero objective would return.
+Phase 1 works over Z[eps] when the rows or rhs have an EpsRational entry; an
+objective over Q(eps) on a tableau over Z lifts its entries to constant
+polynomials first, which changes no sign and so no pivot.
 """
 
 from __future__ import annotations
@@ -144,16 +155,48 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
-    """Optimize c.x over {x >= 0 : A x (senses) b}; exact optimum and witness."""
-    nvar = len(objective)
+class FeasibleBasis:
+    """Phase 1's result for {x >= 0 : A x (senses) b}: a feasible basis.
+
+    rows[i] / d is row i of B^-1 [A | slack | b], the artificial columns
+    dropped; basis[i] is its basic column (an artificial index >= nkeep for a
+    redundant row).  `phase2` optimizes any objective from here, on a copy.
+    """
+
+    __slots__ = ("rows", "d", "basis", "nvar", "nkeep")
+
+    def __init__(self, rows, d, basis, nvar, nkeep):
+        self.rows = rows
+        self.d = d
+        self.basis = basis
+        self.nvar = nvar
+        self.nkeep = nkeep
+
+    def support(self) -> set:
+        """The variables the basic solution makes positive."""
+        return {bi for row, bi in zip(self.rows, self.basis) if bi < self.nvar and row[-1]}
+
+    def point(self) -> list:
+        """The basic solution x, as Fraction (EpsRational over Q(eps))."""
+        x = [Fraction(0)] * self.nvar
+        for row, bi in zip(self.rows, self.basis):
+            if bi < self.nvar:
+                x[bi] = _convert(row[-1], self.d)
+        return x
+
+
+def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
+    """A feasible basis of {x >= 0 : A x (senses) b} over nvar variables.
+
+    Works over Z[eps] when some entry of rows or rhs is an EpsRational, else
+    over Z.  Raises Infeasible when there is no nonnegative solution.
+    """
     nrows = len(rows)
     assert len(senses) == nrows and len(rhs) == nrows
     for s in senses:
         if s not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {s!r}")
-    eps = any(isinstance(v, EpsRational)
-              for vec in (objective, rhs, *rows) for v in vec)
+    eps = any(isinstance(v, EpsRational) for vec in (rhs, *rows) for v in vec)
     scale = _scale_eps if eps else _scale_int
     zero = _PZERO if eps else 0
 
@@ -181,8 +224,8 @@ def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
         row[nkeep + i] = d
         M.append(row)
 
-    # Phase 1: minimize the sum of artificials; the cost row is d times the
-    # reduced costs, 0 on the basic artificials.
+    # Minimize the sum of artificials; the cost row is d times the reduced
+    # costs, 0 on the basic artificials.
     cost = [zero] * (ncols + 1)
     for row in M:
         cost = [k - a for k, a in zip(cost, row)]
@@ -203,28 +246,45 @@ def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
                 if row[j]:
                     tab.pivot(i, j)
                     break
+    return FeasibleBasis([row[:nkeep] + [row[-1]] for row in tab.rows[:-1]],
+                         tab.d, basis, nvar, nkeep)
 
-    # Phase 2 on the original and slack columns only, with the objective
+
+def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
+    """Optimize c.x from phase 1's basis, which is left as it was."""
+    rows, d, nkeep = start.rows, start.d, start.nkeep
+    eps = d.__class__ is _Poly or any(isinstance(v, EpsRational) for v in objective)
+    if eps and d.__class__ is int:
+        # An objective over Q(eps) on a tableau over Z: the same entries in Z[eps].
+        rows = [[_Poly((a,)) if a else _PZERO for a in row] for row in rows]
+        d = _Poly((d,))
+    zero = _PZERO if eps else 0
+
+    # Bland's rule on the original and slack columns only, with the objective
     # scaled to Z / Z[eps] by the positive lcm of its denominators.
-    M = [row[:nkeep] + [row[-1]] for row in tab.rows[:-1]]
-    obj, scale_obj = scale(list(objective))
-    costs = [-v if maximize else v for v in obj] + [zero] * nslack
-    cost = [tab.d * v for v in costs] + [zero]
-    for row, bi in zip(M, basis):
+    obj, scale_obj = (_scale_eps if eps else _scale_int)(list(objective))
+    costs = [-v if maximize else v for v in obj] + [zero] * (nkeep - start.nvar)
+    cost = [d * v for v in costs] + [zero]
+    for row, bi in zip(rows, start.basis):
         if bi < nkeep and costs[bi]:
             f = costs[bi]
             cost = [k - f * a for k, a in zip(cost, row)]
-    tab.rows = M + [cost]
+    tab = _Tableau(list(rows) + [cost], d, list(start.basis))
     tab.iterate(nkeep)
 
     d = tab.d
-    x = [Fraction(0)] * nvar
+    x = [Fraction(0)] * start.nvar
     value = zero
-    for row, bi in zip(tab.rows, basis):
-        if bi < nvar:
+    for row, bi in zip(tab.rows, tab.basis):
+        if bi < start.nvar:
             x[bi] = _convert(row[-1], d)
             value = value + obj[bi] * row[-1]
     return LPSolution(_convert(value, scale_obj * d), x)
+
+
+def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
+    """Optimize c.x over {x >= 0 : A x (senses) b}; exact optimum and witness."""
+    return phase2(phase1(rows, senses, rhs, len(objective)), objective, maximize)
 
 
 def _convert(num, den):
@@ -237,7 +297,6 @@ def _convert(num, den):
 def feasible_point(rows, senses, rhs):
     """Phase-1 only: a nonnegative solution of the constraints, or None."""
     try:
-        sol = solve_lp([0] * len(rows[0]), rows, senses, rhs)
+        return phase1(rows, senses, rhs, len(rows[0])).point()
     except Infeasible:
         return None
-    return sol.x

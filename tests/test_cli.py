@@ -9,11 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probsyll.cli import (ProblemFileError, load_problem, main,
                           parse_rational, parse_value_set)
 import probsyll
-from probsyll import OpenInterval
+from probsyll import EventError, OpenInterval, ParseError, parse_conditional
 
 F = Fraction
 
@@ -352,6 +353,18 @@ class TestCatalogCommand:
                                   "lower_open": False, "upper_open": False}
                    for f in report["forms"])
 
+    def test_options_do_not_carry_over(self, capsys):
+        # main reuses one parser: options of one call must not leak into the next.
+        assert main(["catalog", "--defaults", "--import", "none"]) == 0
+        first = capsys.readouterr().out
+        assert main(["catalog"]) == 0
+        second = capsys.readouterr().out
+        assert "~>" in first and "sigma=" not in first
+        assert "~>" not in second and "sigma=" in second
+        assert "s-valid" in second  # conditional import again, not none
+        assert main(["catalog", "--defaults", "--import", "none"]) == 0
+        assert capsys.readouterr().out == first
+
     def test_closed_stdout(self, tmp_path, monkeypatch, capsys):
         # `probsyll catalog --defaults | head -1`: the reader has gone.
         class Closed:
@@ -375,3 +388,59 @@ class TestCatalogCommand:
             # The descriptor now writes to the null device, so the flush at
             # interpreter exit has somewhere to go.
             assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+
+
+# Lines built from the problem-file and formula syntax, so that drawn text
+# reaches past the first parse error as well as failing at it.
+_FORMULA = st.one_of(
+    st.sampled_from(["A", "B", "C", "A & B", "!C", "(A | B)", "A & !A"]),
+    st.lists(st.sampled_from(["A", "B", "x_y", "1X", "!", "&", "|", "(", ")", " ", "/"]),
+             min_size=1, max_size=8).map("".join),
+)
+_NUMBER = st.sampled_from(["0", "1", "1/2", "0.3", "2", "-1", "1/0", "x"])
+_VALUE = st.one_of(
+    _NUMBER,
+    st.builds("{}{}, {}{}".format, st.sampled_from("[("), _NUMBER, _NUMBER,
+              st.sampled_from("])")),
+    st.builds("{{{}}}".format, _NUMBER),
+)
+_LINES = {  # lines that fit each section
+    "[events]": st.builds("{} = {}".format, _FORMULA, _FORMULA),
+    "[assess]": st.builds("{} / {} {} {}".format, _FORMULA, _FORMULA,
+                          st.sampled_from(["=", "in"]), _VALUE),
+    "[target]": st.builds("{} / {}".format, _FORMULA, _FORMULA),
+    "[syllogism]": st.builds("{} = {}".format, st.sampled_from(["name", "figure", "import"]),
+                             st.sampled_from(["barbara", "I", "none", ""])),
+}
+_LINE = st.one_of(st.sampled_from(["", "# comment", "[", "[nope]", *_LINES]), _FORMULA,
+                  *_LINES.values())
+_SECTION = st.sampled_from(sorted(_LINES)).flatmap(
+    lambda head: st.lists(st.one_of(_LINES[head], _LINE), max_size=4).map(
+        lambda lines: "\n".join((head, *lines))))
+_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=80),
+    st.lists(_LINE, max_size=8).map("\n".join),
+    st.lists(_SECTION, min_size=1, max_size=4).map("\n".join),
+)
+
+
+class TestFuzz:
+    """Arbitrary text either parses or raises one of the documented errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_TEXT, _LINES["[target]"]))
+    def test_parse_conditional(self, text):
+        try:
+            parse_conditional(text)
+        except (ParseError, EventError):
+            pass
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_TEXT)
+    def test_load_problem(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz-problem.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_problem(str(path))
+        except (ParseError, ProblemFileError, EventError):
+            pass

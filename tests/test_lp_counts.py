@@ -1,6 +1,11 @@
-"""LP solves per answer: a regression bound that does not depend on timing."""
+"""LP work per answer: a regression bound that does not depend on timing.
+
+A phase-1 run solves a system from scratch; a phase-2 run optimizes one
+objective from a phase-1 basis.  `solve_lp` counts once in each.
+"""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,40 +18,59 @@ F = Fraction
 
 
 @pytest.fixture
-def lp_calls(monkeypatch):
-    """A list that grows by one per solve_lp call, whichever binding is used."""
-    calls = []
-    original = simplex.solve_lp
+def lp_runs(monkeypatch):
+    """A Counter of "phase1" and "phase2" runs, whichever binding is used."""
+    runs = Counter()
+    for phase in ("phase1", "phase2"):
+        original = getattr(simplex, phase)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, _phase=phase, _original=original, **kwargs):
+            runs[_phase] += 1
+            return _original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "probsyll" or name.startswith("probsyll."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
+        for name, module in list(sys.modules.items()):
+            if name == "probsyll" or name.startswith("probsyll."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    return runs
 
 
-@pytest.mark.parametrize("figure, values, lps", [
-    (Figure.I, (F(4, 5), F(9, 10), F(1, 2)), 4),
-    (Figure.I, (F(1, 2), F(1, 2), 0), 12),
-    (Figure.II, (F(4, 5), F(9, 10), F(1, 2)), 4),
-    (Figure.II, (F(1, 2), F(1, 2), 0), 12),
-    (Figure.III, (F(4, 5), F(9, 10), F(1, 2)), 5),
-    (Figure.III, (F(1, 2), F(1, 2), 0), 4),
-])
-def test_extension_bounds(lp_calls, figure, values, lps):
+# figure, premise values, phase-1 runs, phase-2 runs
+EXTENSIONS = [
+    (Figure.I, (F(4, 5), F(9, 10), F(1, 2)), 4, 1),
+    (Figure.I, (F(1, 2), F(1, 2), 0), 6, 4),
+    (Figure.II, (F(4, 5), F(9, 10), F(1, 2)), 4, 1),
+    (Figure.II, (F(1, 2), F(1, 2), 0), 6, 4),
+    (Figure.III, (F(4, 5), F(9, 10), F(1, 2)), 5, 2),
+    (Figure.III, (F(1, 2), F(1, 2), 0), 4, 0),
+]
+
+
+@pytest.mark.parametrize("figure, values, lps", [case[:3] for case in EXTENSIONS])
+def test_extension_bounds(lp_runs, figure, values, lps):
     family, target = canonical_family(figure)
     extension_bounds(family, list(values), target)
-    assert len(lp_calls) == lps
+    assert lp_runs["phase1"] == lps
 
 
-def test_check_coherence(lp_calls, families):
+@pytest.mark.parametrize("figure, values, warm", [case[:2] + case[3:] for case in EXTENSIONS])
+def test_extension_bounds_warm(lp_runs, figure, values, warm):
+    # Maxima the Step-1 witness already shows positive need no phase 2.
+    family, target = canonical_family(figure)
+    extension_bounds(family, list(values), target)
+    assert lp_runs["phase2"] == warm
+
+
+def test_check_coherence(lp_runs, families):
     assert check_coherence(families["fig1_premise"], [F(1, 2), F(1, 2), 0])
-    assert len(lp_calls) == 2
+    assert lp_runs == {"phase1": 2}
+
+
+def test_check_coherence_full(lp_runs, families):
+    # One phase 1 per level, then a warm phase 2 per maximum: 3 events, then 1.
+    assert check_coherence(families["fig1_premise"], [F(1, 2), F(1, 2), 0], method="full")
+    assert lp_runs == {"phase1": 2, "phase2": 4}
 
 
 @pytest.mark.parametrize("lower_open, lps", [
@@ -54,8 +78,8 @@ def test_check_coherence(lp_calls, families):
     ((False, False, False), 2),
     ((True, False, False), 2),
 ])
-def test_check_g_coherence(lp_calls, families, lower_open, lps):
+def test_check_g_coherence(lp_runs, families, lower_open, lps):
     box = (OpenInterval(F(1, 2), 1, lower_open[0]), OpenInterval(F(1, 2), 1, lower_open[1]),
            OpenInterval.point(0))
     assert check_g_coherence(families["fig1_premise"], box)
-    assert len(lp_calls) == lps
+    assert lp_runs == {"phase1": lps}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probsyll import EPS, EpsRational
-from probsyll.simplex import Infeasible, Unbounded, feasible_point, solve_lp
+from probsyll.simplex import (Infeasible, Unbounded, feasible_point, phase1, phase2,
+                              solve_lp)
 
 F = Fraction
 
@@ -112,6 +113,15 @@ class TestEpsilonField:
                        maximize=True)
         assert sol.value == 1 + EPS
         assert sol.x[1] == EPS
+
+    def test_eps_objective_over_rational_rows(self):
+        # max (1 + eps) x  s.t.  x <= 1: phase 1 runs over Q, phase 2 over Q(eps).
+        sol = solve_lp([1 + EPS], [[1]], ["<="], [1], maximize=True)
+        assert sol.value == 1 + EPS
+        assert sol.x == [1]
+        start = phase1([[1]], ["<="], [1], 1)
+        assert phase2(start, [1 + EPS], maximize=True).value == 1 + EPS
+        assert phase2(start, [1], maximize=True).value == 1
 
 
 class TestRandomized:
@@ -229,3 +239,38 @@ class TestVertexOracle:
         for row, sense, b in zip(rows, senses, rhs):
             lhs = sum((a * v for a, v in zip(row, sol.x)), F(0))
             assert {"<=": lhs <= b, "=": lhs == b, ">=": lhs >= b}[sense]
+
+
+@st.composite
+def _shared_rows(draw):
+    """One bounded LP's rows with up to four objectives over them."""
+    _objective, rows, senses, rhs, _maximize = draw(_bounded_lps())
+    nvar = len(rows[0])
+    objectives = draw(st.lists(
+        st.tuples(st.lists(_entries(), min_size=nvar, max_size=nvar), st.booleans()),
+        min_size=1, max_size=4))
+    return rows, senses, rhs, objectives
+
+
+class TestWarmPhase2:
+    @settings(max_examples=60, deadline=None)
+    @given(_shared_rows())
+    def test_one_phase1_many_objectives(self, lp):
+        # Phase 2 from one shared phase 1 takes the same Bland path as a
+        # solve_lp per objective, so it returns the same optimum and vertex.
+        rows, senses, rhs, objectives = lp
+        try:
+            start = phase1(rows, senses, rhs, len(rows[0]))
+        except Infeasible:
+            assert feasible_point(rows, senses, rhs) is None
+            for objective, maximize in objectives:
+                with pytest.raises(Infeasible):
+                    solve_lp(objective, rows, senses, rhs, maximize=maximize)
+            return
+        assert start.point() == feasible_point(rows, senses, rhs)
+        for objective, maximize in objectives:
+            cold = solve_lp(objective, rows, senses, rhs, maximize=maximize)
+            warm = phase2(start, objective, maximize=maximize)
+            assert warm.value == cold.value
+            assert warm.x == cold.x
+        assert start.point() == feasible_point(rows, senses, rhs)
