@@ -27,7 +27,10 @@ mass.  method="full" takes I0 = {j : max Phi_j = 0} over all solutions
 
 A `LinearSystem` solves its phase 1 once, on first use, and keeps the basis:
 `witness()` reads it, and `maximum(j)` is a phase 2 from it, so `compute_I0`
-costs one phase 1 and n phase 2s.
+costs one phase 1 and n phase 2s.  `face(columns)` holds some masses at zero
+and derives the face's basis from this one (`FeasibleBasis.face`), with no
+new phase 1; `build_system` may give rows to the leading events of a table's
+family only, so the probes of `propagation` are faces of one premise system.
 
 Open faces of a box are shrunk an infinitesimal eps and decided exactly over
 Q(eps); see `check_g_coherence`.
@@ -35,7 +38,7 @@ Q(eps); see `check_g_coherence`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -62,12 +65,14 @@ class InfeasibleSystem(CoherenceError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """rows[i] . lambda (senses[i]) rhs[i] over the masses of table's constituents."""
+    """rows[i] . lambda (senses[i]) rhs[i] over the masses of table's constituents,
+    with lambda_h = 0 for each h in zero (a face of the system of the rows)."""
 
     table: ConstituentTable
     rows: tuple  # one entry per constituent C_1..C_m in each row
     senses: tuple  # "=", "<=" or ">=" per row
     rhs: tuple
+    zero: frozenset = frozenset()
 
     @property
     def ncols(self) -> int:
@@ -77,9 +82,10 @@ class LinearSystem:
     def basis(self) -> Optional[FeasibleBasis]:
         """The system's one phase-1 solve, or None if it has no solution."""
         try:
-            return phase1(self.rows, self.senses, self.rhs, self.ncols)
+            basis = phase1(self.rows, self.senses, self.rhs, self.ncols)
         except Infeasible:
             return None
+        return basis.face(self.zero) if self.zero else basis
 
     def witness(self) -> Optional[list]:
         """The phase-1 solution, or None if there is none."""
@@ -93,6 +99,17 @@ class LinearSystem:
         if self.basis is None:
             raise Infeasible("the system is unsolvable")
         return phase2(self.basis, self.table.indicators(j)[1], maximize=True).value
+
+    def face(self, columns) -> Optional["LinearSystem"]:
+        """This system with lambda_h = 0 also for every h in columns, or None if
+        that has no solution.  Its basis is `FeasibleBasis.face` of this one's,
+        so no phase 1 is run; its witness and maxima keep the numbering C_1..C_m."""
+        basis = None if self.basis is None else self.basis.face(columns)
+        if basis is None:
+            return None
+        face = replace(self, zero=self.zero | frozenset(columns))
+        face.__dict__["basis"] = basis  # the cached_property, filled warm
+        return face
 
     def positive(self) -> set:
         """The j with Phi_j(witness) > 0, hence M_j > 0: the events whose H_j
@@ -108,17 +125,19 @@ class I0Result:
 
 
 def build_system(table: ConstituentTable, lowers: Sequence, uppers: Sequence) -> LinearSystem:
-    """The system of the box lowers <= P <= uppers on table's family, in points form.
+    """The system of the box lowers <= P <= uppers on the leading events of
+    table's family, in points form, over all of the table's constituents.
 
     One "=" row per event with lo == hi (a precise value), else a ">= lo" and a
-    "<= hi" row, then sum lambda = 1.  Entries are taken from the bounds
-    unchanged, so any exact type with rational semantics works (Fraction, or
-    EpsRational for shrunk open faces).  Raises LengthMismatch, or ValueError
-    unless 0 <= lo <= hi <= 1.
+    "<= hi" row, then sum lambda = 1; events past the bounds get no row.
+    Entries are taken from the bounds unchanged, so any exact type with
+    rational semantics works (Fraction, or EpsRational for shrunk open faces).
+    Raises LengthMismatch on more bounds than events, or ValueError unless
+    0 <= lo <= hi <= 1.
     """
-    n = len(table.family)
-    if not len(lowers) == len(uppers) == n:
-        raise LengthMismatch(f"assessment length {len(lowers)} != family length {n}")
+    if not len(lowers) == len(uppers) <= len(table.family):
+        raise LengthMismatch(f"{len(lowers)} lower and {len(uppers)} upper bounds "
+                             f"for {len(table.family)} events")
     rows, senses, rhs = [], [], []
     columns = zip(*(c.cells for c in table.constituents))  # cells of event j per C_h
     for lo, hi, cells in zip(lowers, uppers, columns):
@@ -163,12 +182,20 @@ def _witness(family: tuple, lowers: list, uppers: list, method: str) -> Optional
     return system
 
 
+def matched_lengths(family: tuple, assessment: Sequence) -> None:
+    """Raise LengthMismatch unless the assessment has one entry per event."""
+    if len(assessment) != len(family):
+        raise LengthMismatch(f"assessment length {len(assessment)} != family length {len(family)}")
+
+
 def _precise(family: Iterable, assessment: Sequence, method: str) -> Optional[LinearSystem]:
     """`_witness` on a precise assessment, its values made exact."""
     if method not in ("witness", "full"):
         raise ValueError(f"unknown method {method!r}")
+    family = tuple(family)
+    matched_lengths(family, assessment)
     values = [Fraction(v) if not isinstance(v, EpsRational) else v for v in assessment]
-    return _witness(tuple(family), values, values, method)
+    return _witness(family, values, values, method)
 
 
 def coherence_witness(family: Iterable, assessment: Sequence,
@@ -192,9 +219,11 @@ def check_g_coherence(family: Iterable, box: Sequence[OpenInterval]) -> bool:
     and signs in Q(eps) are the eventual signs for small real eps.  Closed
     faces stay rational, so a closed box is decided over Q alone.
     """
+    family = tuple(family)
+    matched_lengths(family, box)
     lowers = [iv.lower + EPS if iv.lower_open else iv.lower for iv in box]
     uppers = [iv.upper - EPS if iv.upper_open else iv.upper for iv in box]
-    return _witness(tuple(family), lowers, uppers, "witness") is not None
+    return _witness(family, lowers, uppers, "witness") is not None
 
 
 def grid_points(box: Sequence[OpenInterval], grid_density: int):

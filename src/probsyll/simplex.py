@@ -48,6 +48,17 @@ and vertex.  `solve_lp` is `phase1` then `phase2`; `feasible_point` is
 Phase 1 works over Z[eps] when the rows or rhs have an EpsRational entry; an
 objective over Q(eps) on a tableau over Z lifts its entries to constant
 polynomials first, which changes no sign and so no pivot.
+
+A face {x : x_j = 0 for j in a set J} of the feasible region is reached from
+a feasible basis without a new phase 1: `FeasibleBasis.face` runs a phase 2
+minimizing sum_{j in J} x_j (none when the basic solution is already zero on
+J), reads a positive minimum as an empty face, then drives the columns of J
+out of the basis by degenerate pivots, as phase 1 drives out its artificials,
+and deletes them.  Deleting non-basic columns keeps M / d = B^-1 A exact on
+the columns left, so later pivots on the face are those of the system with
+the columns of J deleted.  A face keeps the original variable numbering:
+`cols` maps its tableau columns back, so `point`, `support` and `phase2` take
+and return vectors over all nvar variables.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Optional
 
 from .infinitesimals import EpsRational, _Poly, _PONE, _PZERO
 
@@ -75,6 +87,7 @@ class Unbounded(LPError):
 class LPSolution:
     value: object
     x: list
+    basis: "FeasibleBasis"  # the optimal basis, from which a further phase 2 may start
 
 
 
@@ -159,30 +172,69 @@ class FeasibleBasis:
     """Phase 1's result for {x >= 0 : A x (senses) b}: a feasible basis.
 
     rows[i] / d is row i of B^-1 [A | slack | b], the artificial columns
-    dropped; basis[i] is its basic column (an artificial index >= nkeep for a
-    redundant row).  `phase2` optimizes any objective from here, on a copy.
+    dropped; basis[i] is its basic column (an index >= nkeep for a redundant
+    row).  The tableau's first len(cols) columns are the variables cols, in
+    the original numbering of nvar variables: all of them after phase 1, the
+    ones not held at zero on a face.  `phase2` optimizes any objective from
+    here, on a copy, and `face` restricts the basis to x_j = 0 on given j.
     """
 
-    __slots__ = ("rows", "d", "basis", "nvar", "nkeep")
+    __slots__ = ("rows", "d", "basis", "nvar", "nkeep", "cols")
 
-    def __init__(self, rows, d, basis, nvar, nkeep):
+    def __init__(self, rows, d, basis, nvar, nkeep, cols):
         self.rows = rows
         self.d = d
         self.basis = basis
         self.nvar = nvar
         self.nkeep = nkeep
+        self.cols = cols
 
     def support(self) -> set:
         """The variables the basic solution makes positive."""
-        return {bi for row, bi in zip(self.rows, self.basis) if bi < self.nvar and row[-1]}
+        cols = self.cols
+        return {cols[bi] for row, bi in zip(self.rows, self.basis) if bi < len(cols) and row[-1]}
 
     def point(self) -> list:
         """The basic solution x, as Fraction (EpsRational over Q(eps))."""
         x = [Fraction(0)] * self.nvar
+        cols = self.cols
         for row, bi in zip(self.rows, self.basis):
-            if bi < self.nvar:
-                x[bi] = _convert(row[-1], self.d)
+            if bi < len(cols):
+                x[cols[bi]] = _convert(row[-1], self.d)
         return x
+
+    def face(self, fixed) -> Optional["FeasibleBasis"]:
+        """A feasible basis of the solutions with x_j = 0 for every j in fixed,
+        or None if there are none.
+
+        A phase 2 minimizes the sum of those x_j from this basis, unless the
+        basic solution is already zero on them; a positive minimum means the
+        face is empty.  As phase 1 does with its artificials, degenerate
+        pivots then drive the fixed columns out of the basis, and the columns
+        are deleted.  A row that is zero on every column left is redundant on
+        the face and keeps its (fixed) basic column, marked >= nkeep.
+        """
+        fixed = set(fixed)
+        start = self
+        if not fixed.isdisjoint(self.support()):
+            solution = phase2(self, [1 if j in fixed else 0 for j in range(self.nvar)])
+            if solution.value:
+                return None
+            start = solution.basis
+        drop = {t for t, j in enumerate(start.cols) if j in fixed}
+        tab = _Tableau(list(start.rows), start.d, list(start.basis))
+        for i, bi in enumerate(tab.basis):
+            if bi in drop:
+                row = tab.rows[i]
+                for t in range(start.nkeep):
+                    if row[t] and t not in drop:
+                        tab.pivot(i, t)
+                        break
+        kept = [t for t in range(start.nkeep) if t not in drop]
+        index = {t: k for k, t in enumerate(kept)}
+        basis = [index.get(bi, len(kept) + i) for i, bi in enumerate(tab.basis)]
+        return FeasibleBasis([[row[t] for t in kept] + [row[-1]] for row in tab.rows], tab.d,
+                             basis, self.nvar, len(kept), [j for j in start.cols if j not in fixed])
 
 
 def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
@@ -196,7 +248,7 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
     for s in senses:
         if s not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {s!r}")
-    eps = any(isinstance(v, EpsRational) for vec in (rhs, *rows) for v in vec)
+    eps = any(EpsRational in set(map(type, vec)) for vec in (rhs, *rows))
     scale = _scale_eps if eps else _scale_int
     zero = _PZERO if eps else 0
 
@@ -247,13 +299,15 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
                     tab.pivot(i, j)
                     break
     return FeasibleBasis([row[:nkeep] + [row[-1]] for row in tab.rows[:-1]],
-                         tab.d, basis, nvar, nkeep)
+                         tab.d, basis, nvar, nkeep, range(nvar))
 
 
 def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
-    """Optimize c.x from phase 1's basis, which is left as it was."""
-    rows, d, nkeep = start.rows, start.d, start.nkeep
-    eps = d.__class__ is _Poly or any(isinstance(v, EpsRational) for v in objective)
+    """Optimize c.x from a feasible basis, which is left as it was; the
+    solution carries the optimal basis.  c is over all nvar variables."""
+    rows, d, nkeep, cols = start.rows, start.d, start.nkeep, start.cols
+    objective = [objective[j] for j in cols]
+    eps = d.__class__ is _Poly or EpsRational in set(map(type, objective))
     if eps and d.__class__ is int:
         # An objective over Q(eps) on a tableau over Z: the same entries in Z[eps].
         rows = [[_Poly((a,)) if a else _PZERO for a in row] for row in rows]
@@ -263,7 +317,7 @@ def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
     # Bland's rule on the original and slack columns only, with the objective
     # scaled to Z / Z[eps] by the positive lcm of its denominators.
     obj, scale_obj = (_scale_eps if eps else _scale_int)(list(objective))
-    costs = [-v if maximize else v for v in obj] + [zero] * (nkeep - start.nvar)
+    costs = [-v if maximize else v for v in obj] + [zero] * (nkeep - len(cols))
     cost = [d * v for v in costs] + [zero]
     for row, bi in zip(rows, start.basis):
         if bi < nkeep and costs[bi]:
@@ -276,10 +330,11 @@ def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
     x = [Fraction(0)] * start.nvar
     value = zero
     for row, bi in zip(tab.rows, tab.basis):
-        if bi < start.nvar:
-            x[bi] = _convert(row[-1], d)
+        if bi < len(cols):
+            x[cols[bi]] = _convert(row[-1], d)
             value = value + obj[bi] * row[-1]
-    return LPSolution(_convert(value, scale_obj * d), x)
+    optimal = FeasibleBasis(tab.rows[:-1], d, tab.basis, start.nvar, nkeep, cols)
+    return LPSolution(_convert(value, scale_obj * d), x, optimal)
 
 
 def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:

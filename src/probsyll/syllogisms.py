@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .coherence import check_coherence
 from .events import ConditionalEvent, Event, TOP
 from .figures import Figure, NotGCoherent, sigma_with_openness
 from .intervals import ExtensionInterval, OpenInterval
-from .propagation import extension_bounds
+from .propagation import IncoherentPremises, extension_bounds
 
 
 class SyllogismError(Exception):
@@ -364,10 +363,10 @@ def check_p_entailment(premises: Iterable, conclusion: ConditionalEvent) -> bool
     """Premises p-entail the conclusion iff the all-ones premise assessment is
     coherent (p-consistency) and forces the conclusion to probability one."""
     premises = tuple(premises)
-    ones = [Fraction(1)] * len(premises)
-    if not check_coherence(premises, ones):
+    try:
+        bounds = extension_bounds(premises, [1] * len(premises), conclusion)
+    except IncoherentPremises:
         return False
-    bounds = extension_bounds(premises, ones, conclusion, check=False)
     return bounds == ExtensionInterval(1, 1)
 
 

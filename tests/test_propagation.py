@@ -3,14 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from probsyll import (
-    ExtensionInterval, Figure, IncoherentPremises, OpenInterval,
-    canonical_family, extension_bounds, extension_union_sampled, figure_bounds,
-    parse_conditional,
+    ConditionalEvent, Event, ExtensionInterval, Figure, IncoherentPremises, OpenInterval,
+    canonical_family, check_coherence, extension_bounds, extension_union_sampled,
+    figure_bounds, parse_conditional,
 )
-from conftest import unit_triples
+from conftest import unit_fractions, unit_triples
 
 F = Fraction
 
@@ -62,6 +62,14 @@ class TestPreciseExtension:
         fam = (ce("A / A"),)
         with pytest.raises(IncoherentPremises):
             extension_bounds(fam, [F(1, 2)], ce("B / A"))
+
+    def test_incoherent_premise_beside_covered_target(self):
+        # The premise system's only solution puts all mass on !A, inside the
+        # target's antecedent and outside the premise's: only the premise's
+        # coverage certifies coherence, so the check must still run.
+        fam = (ce("A / A"),)
+        with pytest.raises(IncoherentPremises):
+            extension_bounds(fam, [F(1, 2)], ce("B / !A"))
 
     def test_check_false_skips_validation(self):
         fam = (ce("A / A | !A"),)
@@ -118,3 +126,54 @@ class TestSampledUnion:
         box = (OpenInterval.closed(0, F(1, 2)),)
         with pytest.raises(IncoherentPremises):
             extension_union_sampled(fam, box, ce("B / A"))
+
+
+_ATOMS = [Event.atom(name) for name in "ABCD"]
+_literals = st.sampled_from(_ATOMS + [~a for a in _ATOMS])
+_formulas = st.recursive(
+    _literals,
+    lambda inner: st.tuples(inner, inner, st.booleans()).map(
+        lambda t: t[0] & t[1] if t[2] else t[0] | t[1]),
+    max_leaves=4)
+_conditionals = st.builds(ConditionalEvent, _formulas, _formulas.filter(Event.is_satisfiable))
+
+
+@st.composite
+def _assessed_families(draw):
+    """1-3 premises and a target over <= 4 atoms.  Half the assessments are
+    the conditional probabilities of a random distribution over the worlds
+    (coherent), half are drawn freely (often incoherent)."""
+    family = tuple(draw(st.lists(_conditionals, min_size=1, max_size=3)))
+    target = draw(_conditionals)
+    values = [draw(unit_fractions(max_denominator=4)) for _ in family]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=16, max_size=16))
+        worlds = [dict(zip("ABCD", (w >> k & 1 == 1 for k in range(4)))) for w in range(16)]
+        for j, ce in enumerate(family):
+            inside = [wt for wt, world in zip(weights, worlds)
+                      if ce.antecedent.evaluate(world)]
+            true = [wt for wt, world in zip(weights, worlds)
+                    if ce.antecedent.evaluate(world) and ce.consequent.evaluate(world)]
+            if sum(inside):
+                values[j] = F(sum(true), sum(inside))
+    return family, values, target
+
+
+class TestAgainstFullCoherence:
+    @settings(max_examples=150, deadline=None)
+    @given(_assessed_families())
+    def test_bounds_are_the_coherent_extensions(self, case):
+        # The oracle is the literal criterion (all maxima per I0 level), not
+        # the probes: [z', z''] holds exactly the coherent target values.
+        family, values, target = case
+        if not check_coherence(family, values, method="full"):
+            with pytest.raises(IncoherentPremises):
+                extension_bounds(family, values, target)
+            return
+        bounds = extension_bounds(family, values, target)
+        extended = family + (target,)
+        for z in (bounds.lower, bounds.upper):
+            assert check_coherence(extended, values + [z], method="full")
+        for z in (bounds.lower - F(1, 1000), bounds.upper + F(1, 1000)):
+            if 0 <= z <= 1:
+                assert not check_coherence(extended, values + [z], method="full")

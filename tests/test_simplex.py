@@ -274,3 +274,57 @@ class TestWarmPhase2:
             assert warm.value == cold.value
             assert warm.x == cold.x
         assert start.point() == feasible_point(rows, senses, rhs)
+
+
+@st.composite
+def _faces(draw):
+    """One bounded LP's rows, a proper subset of its variables to hold at
+    zero, and three objectives."""
+    _objective, rows, senses, rhs, _maximize = draw(
+        _bounded_lps().filter(lambda lp: len(lp[1][0]) >= 2))
+    nvar = len(rows[0])
+    fixed = draw(st.sets(st.integers(0, nvar - 1), min_size=1, max_size=nvar - 1))
+    objectives = draw(st.lists(
+        st.tuples(st.lists(_entries(), min_size=nvar, max_size=nvar), st.booleans()),
+        min_size=3, max_size=3))
+    return rows, senses, rhs, fixed, objectives
+
+
+class TestFace:
+    def test_empty_face(self):
+        # x0 + x1 = 1 and x0 - x1 = 1 force x0 = 1, so x0 = 0 has no solution.
+        start = phase1([[1, 1], [1, -1]], ["=", "="], [1, 1], 2)
+        assert start.face({0}) is None
+        assert start.face({1}).point() == [1, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_faces())
+    def test_face_matches_deleted_columns(self, lp):
+        # The face x_j = 0 (j in fixed) of a phase-1 basis is the system with
+        # those columns deleted: same feasibility, same optima, and its
+        # points are read in the original numbering.
+        rows, senses, rhs, fixed, objectives = lp
+        nvar = len(rows[0])
+        kept = [j for j in range(nvar) if j not in fixed]
+        smaller = [[row[j] for j in kept] for row in rows]
+        try:
+            start = phase1(rows, senses, rhs, nvar)
+        except Infeasible:
+            assert feasible_point(smaller, senses, rhs) is None
+            return
+        before = start.point()
+        face = start.face(fixed)
+        assert start.point() == before
+        if face is None:
+            assert feasible_point(smaller, senses, rhs) is None
+            return
+        assert all(face.point()[j] == 0 for j in fixed)
+        for objective, maximize in objectives:
+            cold = solve_lp([objective[j] for j in kept], smaller, senses, rhs,
+                            maximize=maximize)
+            warm = phase2(face, objective, maximize=maximize)
+            assert warm.value == cold.value
+            assert all(warm.x[j] == 0 for j in fixed)
+            for row, sense, b in zip(rows, senses, rhs):
+                lhs = sum((a * v for a, v in zip(row, warm.x)), F(0))
+                assert {"<=": lhs <= b, "=": lhs == b, ">=": lhs >= b}[sense]
