@@ -27,7 +27,7 @@ from .figures import (
     figure_bounds, figure_box_bounds, sigma_with_openness,
 )
 from .syllogisms import (
-    SentenceKind, SentenceType, SyllogismForm, ImportKind, ImportAssumption,
+    SentenceKind, SentenceType, SyllogismForm, ImportKind,
     ProbConstraint, Verdict, Default, DefaultRule, UnknownForm,
     interpret_sentence, import_constraint, premise_box, conclusion_set,
     evaluate_syllogism, catalog, form_by_name, parse_mood, to_defaults,

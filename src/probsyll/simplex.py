@@ -27,8 +27,8 @@ and every division is exact: the new entries are p * (B'^-1 A)[i][j] and
 |p| = |det B'|, so by Cramer's rule they are minors of the scaled tableau.
 When p < 0 the whole tableau is negated to keep d > 0.  The cost row is the
 last row of M and is pivoted the same way: it holds d times the reduced costs
-(times the positive lcm of the objective's denominators in phase 2), so only
-its signs are read.
+(times the positive lcm of the objective's denominators in phase 2), so the
+pivot rule reads only its signs, and its last entry is -d times the optimum.
 Bland's rule (first entering column with a negative reduced cost, ratio test
 by cross-multiplication, ties to the smallest basic index) therefore makes
 the same choices as on the Fraction tableau, and the solver is deterministic,
@@ -38,31 +38,36 @@ Redundant equality rows keep their artificial basic at 0 instead of being
 deleted: they are zero on every other column, and deleting one would break
 the exactness of the division by d.
 
-The two phases are separate steps.  `phase1` drives the artificials out and
-returns the tableau as a `FeasibleBasis`; `phase2` runs Bland's rule for one
-objective on a copy of it, so one phase 1 serves every objective over the
-same rows.  Phase 1 never reads the objective, so a phase 2 from a shared
-basis pivots exactly as a separate solve would and returns the same optimum
-and vertex.  `solve_lp` is `phase1` then `phase2`; `feasible_point` is
-`phase1` alone, whose basic solution is what a zero objective would return.
-Phase 1 works over Z[eps] when the rows or rhs have an EpsRational entry; an
-objective over Q(eps) on a tableau over Z lifts its entries to constant
-polynomials first, which changes no sign and so no pivot.
+Phase 1, phase 2 and faces share two routines of `FeasibleBasis`:
+`_optimize` runs Bland's rule from a feasible basis for costs over the
+tableau columns, and `_drop` drives given columns out of the basis by
+degenerate pivots, then deletes them.  Deleting non-basic columns keeps
+M / d = B^-1 A exact on the columns left, so later pivots are those of the
+system without them.
 
-A face {x : x_j = 0 for j in a set J} of the feasible region is reached from
-a feasible basis without a new phase 1: `FeasibleBasis.face` runs a phase 2
-minimizing sum_{j in J} x_j (none when the basic solution is already zero on
-J), reads a positive minimum as an empty face, then drives the columns of J
-out of the basis by degenerate pivots, as phase 1 drives out its artificials,
-and deletes them.  Deleting non-basic columns keeps M / d = B^-1 A exact on
-the columns left, so later pivots on the face are those of the system with
-the columns of J deleted.  A face keeps the original variable numbering:
-`cols` maps its tableau columns back, so `point`, `support` and `phase2` take
-and return vectors over all nvar variables.
+Phase 1 is a face: the problem's solutions are the face {artificials = 0} of
+the system with one artificial per row.  `phase1` optimizes the sum of the
+artificials from their identity basis, raises Infeasible on a positive
+minimum and drops them.  It never reads an objective, so one phase 1 serves
+every objective over the same rows: `phase2` optimizes one on a copy of the
+basis, pivoting exactly as a separate solve would, and returns the optimum
+and the optimal basis, from which the vertex is read on demand.  `solve_lp`
+is `phase1` then `phase2`.  Phase 1 works over Z[eps] when the rows or rhs
+have an EpsRational entry; an objective over Q(eps) on a tableau over Z
+lifts its entries to constant polynomials first, which changes no sign and
+so no pivot.
+
+A face {x : x_j = 0 for j in J} of the feasible region needs no new phase 1
+either: `FeasibleBasis.face` runs a phase 2 minimizing sum_{j in J} x_j
+(none when the basic solution is already zero on J), reads a positive
+minimum as an empty face, and drops the columns of J.  `cols` names each
+tableau column in the original numbering, so `point`, `support` and
+`phase2` take and return vectors over all nvar variables.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -86,10 +91,12 @@ class Unbounded(LPError):
 @dataclass
 class LPSolution:
     value: object
-    x: list
     basis: "FeasibleBasis"  # the optimal basis, from which a further phase 2 may start
 
-
+    @property
+    def x(self) -> list:
+        """The optimal vertex, read from the basis."""
+        return self.basis.point()
 
 
 def _scale_int(values):
@@ -117,12 +124,9 @@ def _scale_eps(values):
 
 
 class _Tableau:
-    """Fraction-free simplex tableau: rows[:-1] / d = B^-1 A, rows[-1] the cost row."""
+    """Fraction-free simplex tableau: rows / d = B^-1 A, the cost row last while optimizing."""
 
-    def __init__(self, rows, d, basis):
-        self.rows = rows
-        self.d = d
-        self.basis = basis
+    __slots__ = ("rows", "d", "basis")
 
     def pivot(self, r, e):
         rows, d = self.rows, self.d
@@ -142,9 +146,10 @@ class _Tableau:
         self.d = p
         self.basis[r] = e
 
-    def iterate(self, ncols):
-        """Bland's rule minimization over the first ncols columns; raises Unbounded."""
+    def iterate(self):
+        """Bland's rule minimization over every column; raises Unbounded."""
         basis = self.basis
+        ncols = len(self.rows[-1]) - 1
         while True:
             cost = self.rows[-1]
             for enter in range(ncols):
@@ -168,38 +173,36 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-class FeasibleBasis:
-    """Phase 1's result for {x >= 0 : A x (senses) b}: a feasible basis.
+class FeasibleBasis(_Tableau):
+    """A feasible basis of {x >= 0 : A x (senses) b}, as a fraction-free tableau.
 
-    rows[i] / d is row i of B^-1 [A | slack | b], the artificial columns
-    dropped; basis[i] is its basic column (an index >= nkeep for a redundant
-    row).  The tableau's first len(cols) columns are the variables cols, in
-    the original numbering of nvar variables: all of them after phase 1, the
-    ones not held at zero on a face.  `phase2` optimizes any objective from
-    here, on a copy, and `face` restricts the basis to x_j = 0 on given j.
+    rows[i] / d is row i of B^-1 [A | slack | artificial | b] less the
+    deleted columns, and basis[i] is its basic tableau column (an index >=
+    len(cols) for a redundant row, which is zero on every column left).
+    cols[t] names tableau column t: variables are < nvar, and the slacks and
+    then the artificials come after them.
     """
 
-    __slots__ = ("rows", "d", "basis", "nvar", "nkeep", "cols")
+    __slots__ = ("nvar", "cols")
 
-    def __init__(self, rows, d, basis, nvar, nkeep, cols):
+    def __init__(self, rows, d, basis, nvar, cols):
         self.rows = rows
         self.d = d
         self.basis = basis
         self.nvar = nvar
-        self.nkeep = nkeep
         self.cols = cols
 
     def support(self) -> set:
         """The variables the basic solution makes positive."""
-        cols = self.cols
-        return {cols[bi] for row, bi in zip(self.rows, self.basis) if bi < len(cols) and row[-1]}
+        cols, nv = self.cols, bisect(self.cols, self.nvar - 1)  # variables come first
+        return {cols[bi] for row, bi in zip(self.rows, self.basis) if bi < nv and row[-1]}
 
     def point(self) -> list:
         """The basic solution x, as Fraction (EpsRational over Q(eps))."""
         x = [Fraction(0)] * self.nvar
-        cols = self.cols
+        cols, nv = self.cols, bisect(self.cols, self.nvar - 1)
         for row, bi in zip(self.rows, self.basis):
-            if bi < len(cols):
+            if bi < nv:
                 x[cols[bi]] = _convert(row[-1], self.d)
         return x
 
@@ -209,10 +212,8 @@ class FeasibleBasis:
 
         A phase 2 minimizes the sum of those x_j from this basis, unless the
         basic solution is already zero on them; a positive minimum means the
-        face is empty.  As phase 1 does with its artificials, degenerate
-        pivots then drive the fixed columns out of the basis, and the columns
-        are deleted.  A row that is zero on every column left is redundant on
-        the face and keeps its (fixed) basic column, marked >= nkeep.
+        face is empty.  Their columns are then dropped, as phase 1 drops its
+        artificials.
         """
         fixed = set(fixed)
         start = self
@@ -221,20 +222,57 @@ class FeasibleBasis:
             if solution.value:
                 return None
             start = solution.basis
-        drop = {t for t, j in enumerate(start.cols) if j in fixed}
-        tab = _Tableau(list(start.rows), start.d, list(start.basis))
+        return start._drop({t for t, j in enumerate(start.cols) if j in fixed})
+
+    def _optimize(self, costs):
+        """Bland's rule minimizing sum_t costs[t] x_t from this basis, which is
+        left as it was; costs maps tableau columns to their nonzero costs, in
+        the tableau's ring.  Returns the optimal basis and its d times the
+        minimum."""
+        rows, d = self.rows, self.d
+        zero, one = (_PZERO, _PONE) if d.__class__ is _Poly else (0, 1)
+        # The cost row d * (c - c_B B^-1 A): minus c_B times the rows, which
+        # is -d * c_t on a basic column t, then plus d * c.
+        cost = [zero] * (len(self.cols) + 1)
+        for row, bi in zip(rows, self.basis):
+            f = costs.get(bi, zero)
+            if f == one:  # all of phase 1's costs: no multiply
+                cost = [k - a for k, a in zip(cost, row)]
+            elif f:
+                cost = [k - f * a for k, a in zip(cost, row)]
+        for t, v in costs.items():
+            cost[t] = cost[t] + d * v
+        tab = FeasibleBasis(list(rows) + [cost], d, list(self.basis), self.nvar, self.cols)
+        tab.iterate()
+        return tab, -tab.rows.pop()[-1]  # the cost row ends in -d times the minimum
+
+    def _drop(self, columns) -> "FeasibleBasis":
+        """This basis with the tableau columns in columns, on which the basic
+        solution is zero, deleted.  A row whose basic column is one of them
+        first pivots on its first nonzero entry in a column kept; a row with
+        none is redundant."""
+        ncols = len(self.cols)
+        tab = FeasibleBasis(list(self.rows), self.d, list(self.basis), self.nvar, self.cols)
         for i, bi in enumerate(tab.basis):
-            if bi in drop:
+            if bi in columns:
                 row = tab.rows[i]
-                for t in range(start.nkeep):
-                    if row[t] and t not in drop:
+                for t in range(ncols):
+                    if row[t] and t not in columns:
                         tab.pivot(i, t)
                         break
-        kept = [t for t in range(start.nkeep) if t not in drop]
-        index = {t: k for k, t in enumerate(kept)}
-        basis = [index.get(bi, len(kept) + i) for i, bi in enumerate(tab.basis)]
-        return FeasibleBasis([[row[t] for t in kept] + [row[-1]] for row in tab.rows], tab.d,
-                             basis, self.nvar, len(kept), [j for j in start.cols if j not in fixed])
+        k = ncols - len(columns)  # the columns left
+        if min(columns, default=k) >= k:
+            # A trailing block, as phase 1's artificials: the columns left keep
+            # their numbers, and a redundant row's basic column is >= k.
+            tab.rows = [row[:k] + row[-1:] for row in tab.rows]
+            tab.cols = self.cols[:k]
+            return tab
+        kept = [t for t in range(ncols) if t not in columns]
+        index = {t: n for n, t in enumerate(kept)}
+        tab.basis = [index.get(bi, k + i) for i, bi in enumerate(tab.basis)]
+        tab.rows = [[row[t] for t in kept] + row[-1:] for row in tab.rows]
+        tab.cols = [self.cols[t] for t in kept]
+        return tab
 
 
 def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
@@ -250,11 +288,11 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
             raise ValueError(f"bad sense {s!r}")
     eps = any(EpsRational in set(map(type, vec)) for vec in (rhs, *rows))
     scale = _scale_eps if eps else _scale_int
-    zero = _PZERO if eps else 0
+    zero, one = (_PZERO, _PONE) if eps else (0, 1)
 
     # Each row scaled to Z / Z[eps] by its own c_i > 0, the rhs last.
     scaled = [scale(list(row) + [b]) for row, b in zip(rows, rhs)]
-    d = _PONE if eps else 1
+    d = one
     for _, c in scaled:
         d = d * c
 
@@ -276,65 +314,30 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
         row[nkeep + i] = d
         M.append(row)
 
-    # Minimize the sum of artificials; the cost row is d times the reduced
-    # costs, 0 on the basic artificials.
-    cost = [zero] * (ncols + 1)
-    for row in M:
-        cost = [k - a for k, a in zip(cost, row)]
-    for i in range(nrows):
-        cost[nkeep + i] = zero
-    tab = _Tableau(M + [cost], d, [nkeep + i for i in range(nrows)])
-    tab.iterate(ncols)
-    if tab.rows[-1][-1]:  # the cost row stores -d * z in its last entry
+    # The face {artificials = 0} of the artificials' basis: minimize their sum.
+    artificials = range(nkeep, ncols)
+    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols))
+    optimal, minimum = start._optimize(dict.fromkeys(artificials, one))
+    if minimum:
         raise Infeasible("phase 1 optimum is positive")
-
-    # Drive any leftover artificials out of the basis; a row that is zero on
-    # every original and slack column is redundant and keeps its artificial.
-    basis = tab.basis
-    for i in range(nrows):
-        if basis[i] >= nkeep:
-            row = tab.rows[i]
-            for j in range(nkeep):
-                if row[j]:
-                    tab.pivot(i, j)
-                    break
-    return FeasibleBasis([row[:nkeep] + [row[-1]] for row in tab.rows[:-1]],
-                         tab.d, basis, nvar, nkeep, range(nvar))
+    return optimal._drop(artificials)
 
 
 def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
     """Optimize c.x from a feasible basis, which is left as it was; the
     solution carries the optimal basis.  c is over all nvar variables."""
-    rows, d, nkeep, cols = start.rows, start.d, start.nkeep, start.cols
-    objective = [objective[j] for j in cols]
-    eps = d.__class__ is _Poly or EpsRational in set(map(type, objective))
-    if eps and d.__class__ is int:
+    nvar, cols = start.nvar, start.cols
+    objective = [objective[j] if j < nvar else 0 for j in cols]
+    eps = start.d.__class__ is _Poly or EpsRational in set(map(type, objective))
+    if eps and start.d.__class__ is int:
         # An objective over Q(eps) on a tableau over Z: the same entries in Z[eps].
-        rows = [[_Poly((a,)) if a else _PZERO for a in row] for row in rows]
-        d = _Poly((d,))
-    zero = _PZERO if eps else 0
+        rows = [[_Poly((a,)) if a else _PZERO for a in row] for row in start.rows]
+        start = FeasibleBasis(rows, _Poly((start.d,)), start.basis, nvar, cols)
 
-    # Bland's rule on the original and slack columns only, with the objective
-    # scaled to Z / Z[eps] by the positive lcm of its denominators.
-    obj, scale_obj = (_scale_eps if eps else _scale_int)(list(objective))
-    costs = [-v if maximize else v for v in obj] + [zero] * (nkeep - len(cols))
-    cost = [d * v for v in costs] + [zero]
-    for row, bi in zip(rows, start.basis):
-        if bi < nkeep and costs[bi]:
-            f = costs[bi]
-            cost = [k - f * a for k, a in zip(cost, row)]
-    tab = _Tableau(list(rows) + [cost], d, list(start.basis))
-    tab.iterate(nkeep)
-
-    d = tab.d
-    x = [Fraction(0)] * start.nvar
-    value = zero
-    for row, bi in zip(tab.rows, tab.basis):
-        if bi < len(cols):
-            x[cols[bi]] = _convert(row[-1], d)
-            value = value + obj[bi] * row[-1]
-    optimal = FeasibleBasis(tab.rows[:-1], d, tab.basis, start.nvar, nkeep, cols)
-    return LPSolution(_convert(value, scale_obj * d), x, optimal)
+    # The objective scaled to Z / Z[eps] by the positive lcm of its denominators.
+    obj, scale_obj = (_scale_eps if eps else _scale_int)(objective)
+    optimal, minimum = start._optimize({t: -v if maximize else v for t, v in enumerate(obj) if v})
+    return LPSolution(_convert(-minimum if maximize else minimum, scale_obj * optimal.d), optimal)
 
 
 def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
@@ -347,11 +350,3 @@ def _convert(num, den):
     if num.__class__ is int:
         return Fraction(num, den)
     return EpsRational._make(num, den)
-
-
-def feasible_point(rows, senses, rhs):
-    """Phase-1 only: a nonnegative solution of the constraints, or None."""
-    try:
-        return phase1(rows, senses, rhs, len(rows[0])).point()
-    except Infeasible:
-        return None

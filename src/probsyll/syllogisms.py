@@ -100,12 +100,6 @@ class ProbConstraint:
 
 
 @dataclass(frozen=True)
-class ImportAssumption:
-    kind: ImportKind
-    constraint: ProbConstraint
-
-
-@dataclass(frozen=True)
 class SyllogismForm:
     figure: Figure
     mood: Tuple[SentenceKind, SentenceKind, SentenceKind]
@@ -199,6 +193,13 @@ def _reflect(iv: OpenInterval) -> OpenInterval:
     return OpenInterval(1 - iv.upper, 1 - iv.lower, iv.upper_open, iv.lower_open)
 
 
+def _import_interval(import_kind) -> OpenInterval:
+    """The import component t: [0,1] with no import, (0,1] otherwise."""
+    if ImportKind.coerce(import_kind) is ImportKind.NONE:
+        return OpenInterval.closed(0, 1)
+    return OpenInterval(0, 1, lower_open=True)
+
+
 def import_constraint(figure: Figure, kind) -> ProbConstraint:
     """Existential import for the figure (terms S, M, P).
 
@@ -230,15 +231,11 @@ def premise_box(form: SyllogismForm, import_kind) -> Tuple[OpenInterval, OpenInt
     import, (0,1] otherwise (the unconditional form implies the conditional
     one, and reuses its Sigma).
     """
-    import_kind = ImportKind.coerce(import_kind)
+    t = _import_interval(import_kind)
     x = _kind_interval(form.mood[0])
     y = _kind_interval(form.mood[1])
     if form.figure is Figure.II:
         y = _reflect(y)
-    if import_kind is ImportKind.NONE:
-        t = OpenInterval.closed(0, 1)
-    else:
-        t = OpenInterval(0, 1, lower_open=True)
     return x, y, t
 
 
@@ -387,9 +384,5 @@ def gq_syllogism(figure: Figure, thresholds: Sequence, import_kind=ImportKind.CO
         dummy = ProbConstraint(
             ConditionalEvent(Event.atom("P"), Event.atom("S")), relation, value)
         components.append(dummy.interval())
-    import_kind = ImportKind.coerce(import_kind)
-    if import_kind is ImportKind.NONE:
-        t = OpenInterval.closed(0, 1)
-    else:
-        t = OpenInterval(0, 1, lower_open=True)
+    t = _import_interval(import_kind)
     return sigma_with_openness(figure, (components[0], components[1], t))

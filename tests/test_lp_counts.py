@@ -1,7 +1,8 @@
 """LP work per answer: a regression bound that does not depend on timing.
 
 A phase-1 run solves a system from scratch; a phase-2 run optimizes one
-objective from a phase-1 basis.  `solve_lp` counts once in each.
+objective from a phase-1 basis.  `solve_lp` counts once in each.  The pivot
+counts pin the Bland path itself: every pivot of phase 1, phase 2 and faces.
 """
 
 import sys
@@ -92,3 +93,46 @@ def test_check_g_coherence(lp_runs, families, lower_open, lps):
            OpenInterval.point(0))
     assert check_g_coherence(families["fig1_premise"], box)
     assert lp_runs == {"phase1": lps}
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """A Counter whose "pivot" entry counts the simplex tableau's pivots."""
+    count = Counter()
+    original = simplex._Tableau.pivot
+
+    def counting(self, r, e):
+        count["pivot"] += 1
+        return original(self, r, e)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", counting)
+    return count
+
+
+# Pivots per EXTENSIONS case, in order: the entering and leaving choices, the
+# bases phase 1 and faces start from, and the degenerate drive-out pivots.
+EXTENSION_PIVOTS = [11, 14, 13, 15, 12, 12]
+
+
+@pytest.mark.parametrize("figure, values, count",
+                         [case[:2] + (count,) for case, count in zip(EXTENSIONS, EXTENSION_PIVOTS)])
+def test_extension_bounds_pivots(pivots, figure, values, count):
+    family, target = canonical_family(figure)
+    extension_bounds(family, list(values), target)
+    assert pivots["pivot"] == count
+
+
+def test_check_coherence_pivots(pivots, families):
+    assert check_coherence(families["fig1_premise"], [F(1, 2), F(1, 2), 0])
+    assert pivots["pivot"] == 8
+
+
+@pytest.mark.parametrize("lower_open, count", [
+    ((False, False, False), 17),
+    ((True, False, False), 17),
+])
+def test_check_g_coherence_pivots(pivots, families, lower_open, count):
+    box = (OpenInterval(F(1, 2), 1, lower_open[0]), OpenInterval(F(1, 2), 1, lower_open[1]),
+           OpenInterval.point(0))
+    assert check_g_coherence(families["fig1_premise"], box)
+    assert pivots["pivot"] == count

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probsyll import EPS, EpsRational
-from probsyll.simplex import (Infeasible, Unbounded, feasible_point, phase1, phase2,
-                              solve_lp)
+from probsyll.simplex import Infeasible, Unbounded, phase1, phase2, solve_lp
 
 F = Fraction
 
@@ -88,13 +87,14 @@ class TestErrors:
 class TestFeasiblePoint:
     def test_witness_satisfies_rows(self):
         rows = [[1, 1, 1], [1, 0, -1]]
-        x = feasible_point(rows, ["=", "="], [1, 0])
+        x = phase1(rows, ["=", "="], [1, 0], 3).point()
         assert x is not None
         assert sum(x) == 1 and x[0] == x[2]
         assert all(v >= 0 for v in x)
 
     def test_none_when_infeasible(self):
-        assert feasible_point([[1], [1]], ["=", "="], [0, 1]) is None
+        with pytest.raises(Infeasible):
+            phase1([[1], [1]], ["=", "="], [0, 1], 1)
 
 
 class TestEpsilonField:
@@ -262,18 +262,19 @@ class TestWarmPhase2:
         try:
             start = phase1(rows, senses, rhs, len(rows[0]))
         except Infeasible:
-            assert feasible_point(rows, senses, rhs) is None
+            with pytest.raises(Infeasible):
+                phase1(rows, senses, rhs, len(rows[0]))
             for objective, maximize in objectives:
                 with pytest.raises(Infeasible):
                     solve_lp(objective, rows, senses, rhs, maximize=maximize)
             return
-        assert start.point() == feasible_point(rows, senses, rhs)
+        assert start.point() == phase1(rows, senses, rhs, len(rows[0])).point()
         for objective, maximize in objectives:
             cold = solve_lp(objective, rows, senses, rhs, maximize=maximize)
             warm = phase2(start, objective, maximize=maximize)
             assert warm.value == cold.value
             assert warm.x == cold.x
-        assert start.point() == feasible_point(rows, senses, rhs)
+        assert start.point() == phase1(rows, senses, rhs, len(rows[0])).point()
 
 
 @st.composite
@@ -310,13 +311,15 @@ class TestFace:
         try:
             start = phase1(rows, senses, rhs, nvar)
         except Infeasible:
-            assert feasible_point(smaller, senses, rhs) is None
+            with pytest.raises(Infeasible):
+                phase1(smaller, senses, rhs, len(kept))
             return
         before = start.point()
         face = start.face(fixed)
         assert start.point() == before
         if face is None:
-            assert feasible_point(smaller, senses, rhs) is None
+            with pytest.raises(Infeasible):
+                phase1(smaller, senses, rhs, len(kept))
             return
         assert all(face.point()[j] == 0 for j in fixed)
         for objective, maximize in objectives:
