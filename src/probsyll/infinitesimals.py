@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(eps): rational functions of one positive infinitesimal.
 
 An element is a quotient num / den of integer polynomials in eps (Z[eps], the
-polynomials the simplex pivots on), ordered by the sign it eventually takes for
-small positive real eps.  This makes Q(eps) an ordered field extending the
-rationals with 0 < eps < q for every positive rational q.
+ring the simplex scales its rows to before it substitutes eps = 2^-bits),
+ordered by the sign it eventually takes for small positive real eps.  This
+makes Q(eps) an ordered field extending the rationals with 0 < eps < q for
+every positive rational q.
 
 The quotient is never reduced by a polynomial gcd: only the integer content is
 divided out, and den's lowest nonzero coefficient is kept positive (den > 0
@@ -29,8 +30,10 @@ from math import gcd
 class _Poly:
     """An element of Z[eps]: integer coefficients, low order first, no trailing zeros.
 
-    Offers *, +, -, unary -, exact //, truth value, ==, the eventual sign, and
-    < / > against another element or against int 0.
+    Offers *, +, -, unary -, exact // (the simplex divides by non-constant
+    denominators when it scales a row), truth value, == and the eventual sign.
+    It has no order: EpsRational compares by sign, and the simplex pivots on
+    integers.
     """
 
     __slots__ = ("c",)
@@ -72,7 +75,7 @@ class _Poly:
         return _Poly(tuple(-x for x in self.c))
 
     def __floordiv__(self, other):
-        """The quotient of an exact division, as every division in the tableau is."""
+        """The quotient of an exact division."""
         b = other.c
         if len(b) == 1:
             k = b[0]
@@ -114,15 +117,6 @@ class _Poly:
             if x:
                 return 1 if x > 0 else -1
         return 0
-
-    def _sign(self, other) -> int:
-        return self.sign() if other.__class__ is int else (self - other).sign()
-
-    def __lt__(self, other):
-        return self._sign(other) < 0
-
-    def __gt__(self, other):
-        return self._sign(other) > 0
 
 
 _PZERO = _Poly(())

@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over Q and Q(eps), fraction-free.
+"""Exact two-phase simplex over Q and Q(eps), fraction-free, on integers only.
 
 Problems are given in the form
 
@@ -8,18 +8,15 @@ Problems are given in the form
 with entries int, Fraction or EpsRational, and solved exactly: the optimum
 and the witness x come back as Fraction (EpsRational when some entry is one).
 
-The tableau is held over the integers (over Z[eps] when some entry is an
-EpsRational: the integer polynomials of infinitesimals.py, whose num / den
-pairs are read and built here without conversion) and pivoted by the
-Bareiss / Edmonds integer-preserving rule, so the pivot loop builds no
-fractions.  Row i of the initial tableau [A_i | slack | artificial | b_i] is
-multiplied by c_i > 0, the lcm of its denominators (times any non-constant
-eps-denominator); its slack becomes +-c_i and its artificial c_i.  Scaling a
-row does not change B^-1 A, so at every basis B the tableau M and d > 0
-satisfy M / d = B^-1 A, the tableau of the same problem solved over Fraction,
-with d = |det B| over the scaled columns.  Initially B is diagonal with
-entries c_i, so d is their product and M = d * T_0.  A pivot on p = M[r][e]
-maps
+The tableau is held over the integers and pivoted by the Bareiss / Edmonds
+integer-preserving rule, so the pivot loop builds no fractions.  Row i of
+the initial tableau [A_i | slack | artificial | b_i] is multiplied by
+c_i > 0, the lcm of its denominators; its slack becomes +-c_i and its
+artificial c_i.  Scaling a row does not change B^-1 A, so at every basis B
+the tableau M and d > 0 satisfy M / d = B^-1 A, the tableau of the same
+problem solved over Fraction, with d = |det B| over the scaled columns.
+Initially B is diagonal with entries c_i, so d is their product and
+M = d * T_0.  A pivot on p = M[r][e] maps
 
     M[i][j]  ->  (M[i][j] * p - M[i][e] * M[r][j]) // d,      d -> p,
 
@@ -33,6 +30,42 @@ Bland's rule (first entering column with a negative reduced cost, ratio test
 by cross-multiplication, ties to the smallest basic index) therefore makes
 the same choices as on the Fraction tableau, and the solver is deterministic,
 terminates, and returns the same optimum, witness and exceptions.
+
+Q(eps) runs on the same integer tableau, with eps = 1/Y and Y = 2^bits.
+Phase 1 scales each row, rhs included, to Z[eps] (the integer polynomials of
+infinitesimals.py): c_i is then a positive common multiple of the row's
+denominators, times any non-constant one.  Row i has degree D_i, the largest
+degree among its entries, its rhs and c_i, and becomes the integer row
+Y^D_i * s_i(1/Y).  Evaluating at 1/Y is a ring map and every division is
+exact, so each integer entry is Y^D * P(1/Y), D = sum_i D_i, for the entry P
+of the tableau over Z[eps] (Y^(D + D_c) for the cost row of an objective of
+degree D_c), provided the pivots are the same.  They are, by this bound.
+
+- Every sign and zero test is one minor.  Entries, d, reduced costs, the
+  optimum and the tests rhs < 0 (phase 1's row flip), p < 0, cost < 0,
+  a > 0 and a != 0 read minors of [S; c] of order <= r = nrows + 1, where S
+  holds the scaled rows (entries, +-c_i, rhs) and c the scaled objective.
+  So does the ratio test: rhs_i * a_l - rhs_l * a_i is d times the rhs that
+  row i would have after pivoting on (l, e), and d > 0.  (p != d in the
+  pivot reads no sign: the integer tableau is exact whichever branch runs.)
+- Let ||p||_1 be the sum of |coefficients| of p.  A minor over rows R takes
+  one entry per row, so ||P||_1 <= |R|! * prod_(i in R) max_j ||s_ij||_1,
+  and as |R| <= r and every factor below is >= 1, that is at most B * C with
+      B = prod_i r * max_j ||s_ij||_1   (j over row i's entries, rhs and c_i),
+      C = r * max_j ||c_j||_1           (C = r for phase 1's unit costs).
+  Only each row's largest entry counts, never the width of the row.
+- With 2^bits > 2 * B * C every coefficient of P is below Y/2 in size, so
+  P(1/Y) has the sign of P's lowest-order coefficient, its sign for small
+  positive eps, and the integer tableau takes the pivots of the one over
+  Z[eps].  P comes back exactly from the D + 1 balanced base-Y digits of
+  Y^D * P(1/Y), and so do the witness and the optimum, whose numerator and
+  d are decoded separately.
+
+Phase 1 picks bits for its own C = r.  A phase 2 whose objective needs more
+bits re-encodes the tableau once, each entry's digits read out at the old Y
+and back in at the new.  A tableau over Q has D = 0, so a Q(eps) objective
+there re-encodes nothing and only picks bits for its cost row; B comes from
+the scaled rows the tableau keeps, and is computed only then.
 
 Redundant equality rows keep their artificial basic at 0 instead of being
 deleted: they are zero on every other column, and deleting one would break
@@ -52,10 +85,7 @@ minimum and drops them.  It never reads an objective, so one phase 1 serves
 every objective over the same rows: `phase2` optimizes one on a copy of the
 basis, pivoting exactly as a separate solve would, and returns the optimum
 and the optimal basis, from which the vertex is read on demand.  `solve_lp`
-is `phase1` then `phase2`.  Phase 1 works over Z[eps] when the rows or rhs
-have an EpsRational entry; an objective over Q(eps) on a tableau over Z
-lifts its entries to constant polynomials first, which changes no sign and
-so no pivot.
+is `phase1` then `phase2`.
 
 A face {x : x_j = 0 for j in J} of the feasible region needs no new phase 1
 either: `FeasibleBasis.face` runs a phase 2 minimizing sum_{j in J} x_j
@@ -70,10 +100,10 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional
 
-from .infinitesimals import EpsRational, _Poly, _PONE, _PZERO
+from .infinitesimals import EpsRational, _Poly
 
 
 class LPError(Exception):
@@ -121,6 +151,52 @@ def _scale_eps(values):
     for den in dict.fromkeys(den.c for _, den in parts if len(den.c) > 1):
         c = c * _Poly(den)
     return [num * (c // den) for num, den in parts], c
+
+
+def _norm(p):
+    """||p||_1, the sum of the sizes of p's coefficients."""
+    return sum(map(abs, p.c))
+
+
+def _encode(p, deg, bits):
+    """Y^deg * p(1/Y) for Y = 2^bits and p in Z[eps] of degree <= deg."""
+    v = 0
+    for x in p.c:
+        v = (v << bits) + x
+    return v << bits * (deg + 1 - len(p.c))
+
+
+def _decode(v, deg, bits):
+    """The p in Z[eps] of degree <= deg with Y^deg * p(1/Y) = v, Y = 2^bits,
+    read from the deg + 1 balanced base-Y digits of v, which are p's
+    coefficients when each is below Y/2 in size."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []  # eps^deg first
+    for _ in range(deg + 1):
+        t = v & mask
+        if t >= half:
+            t -= mask + 1
+        digits.append(t)
+        v = (v - t) >> bits
+    assert not v, "a coefficient exceeds the bound"
+    digits.reverse()
+    while digits and not digits[-1]:
+        digits.pop()
+    return _Poly(tuple(digits))
+
+
+def _substitute(scaled):
+    """Rows (s_i, c_i) scaled to Z[eps] as the integer rows Y^D_i * s_i(1/Y),
+    with bits for phase 1's cost row: (rows, (bits, sum_i D_i), B)."""
+    r = len(scaled) + 1
+    degs, bound = [], 1
+    for srow, c in scaled:
+        degs.append(max(len(p.c) for p in (*srow, c)) - 1)
+        bound *= r * max(map(_norm, (*srow, c)))
+    bits = (2 * bound * r).bit_length()
+    rows = [([_encode(p, deg, bits) for p in srow], _encode(c, deg, bits))
+            for (srow, c), deg in zip(scaled, degs)]
+    return rows, (bits, sum(degs)), bound
 
 
 class _Tableau:
@@ -180,17 +256,22 @@ class FeasibleBasis(_Tableau):
     deleted columns, and basis[i] is its basic tableau column (an index >=
     len(cols) for a redundant row, which is zero on every column left).
     cols[t] names tableau column t: variables are < nvar, and the slacks and
-    then the artificials come after them.
+    then the artificials come after them.  eps is None over Q, else
+    (bits, deg): the tableau over Z[eps], of total row degree deg, at
+    eps = 2^-bits.  bound is the row bound B, or over Q the scaled rows
+    (row, c_i) it is computed from once a Q(eps) objective needs it.
     """
 
-    __slots__ = ("nvar", "cols")
+    __slots__ = ("nvar", "cols", "eps", "bound")
 
-    def __init__(self, rows, d, basis, nvar, cols):
+    def __init__(self, rows, d, basis, nvar, cols, eps, bound):
         self.rows = rows
         self.d = d
         self.basis = basis
         self.nvar = nvar
         self.cols = cols
+        self.eps = eps
+        self.bound = bound
 
     def support(self) -> set:
         """The variables the basic solution makes positive."""
@@ -201,9 +282,15 @@ class FeasibleBasis(_Tableau):
         """The basic solution x, as Fraction (EpsRational over Q(eps))."""
         x = [Fraction(0)] * self.nvar
         cols, nv = self.cols, bisect(self.cols, self.nvar - 1)
-        for row, bi in zip(self.rows, self.basis):
-            if bi < nv:
-                x[cols[bi]] = _convert(row[-1], self.d)
+        values = [(cols[bi], row[-1]) for row, bi in zip(self.rows, self.basis) if bi < nv]
+        if self.eps is None:
+            for j, v in values:
+                x[j] = Fraction(v, self.d)
+            return x
+        bits, deg = self.eps
+        d = _decode(self.d, deg, bits)
+        for j, v in values:
+            x[j] = EpsRational._make(_decode(v, deg, bits), d)
         return x
 
     def face(self, fixed) -> Optional["FeasibleBasis"]:
@@ -226,23 +313,22 @@ class FeasibleBasis(_Tableau):
 
     def _optimize(self, costs):
         """Bland's rule minimizing sum_t costs[t] x_t from this basis, which is
-        left as it was; costs maps tableau columns to their nonzero costs, in
-        the tableau's ring.  Returns the optimal basis and its d times the
-        minimum."""
+        left as it was; costs maps tableau columns to their nonzero integer
+        costs.  Returns the optimal basis and its d times the minimum."""
         rows, d = self.rows, self.d
-        zero, one = (_PZERO, _PONE) if d.__class__ is _Poly else (0, 1)
         # The cost row d * (c - c_B B^-1 A): minus c_B times the rows, which
         # is -d * c_t on a basic column t, then plus d * c.
-        cost = [zero] * (len(self.cols) + 1)
+        cost = [0] * (len(self.cols) + 1)
         for row, bi in zip(rows, self.basis):
-            f = costs.get(bi, zero)
-            if f == one:  # all of phase 1's costs: no multiply
+            f = costs.get(bi, 0)
+            if f == 1:  # all of phase 1's costs: no multiply
                 cost = [k - a for k, a in zip(cost, row)]
             elif f:
                 cost = [k - f * a for k, a in zip(cost, row)]
         for t, v in costs.items():
-            cost[t] = cost[t] + d * v
-        tab = FeasibleBasis(list(rows) + [cost], d, list(self.basis), self.nvar, self.cols)
+            cost[t] += d * v
+        tab = FeasibleBasis(list(rows) + [cost], d, list(self.basis), self.nvar, self.cols,
+                            self.eps, self.bound)
         tab.iterate()
         return tab, -tab.rows.pop()[-1]  # the cost row ends in -d times the minimum
 
@@ -252,7 +338,8 @@ class FeasibleBasis(_Tableau):
         first pivots on its first nonzero entry in a column kept; a row with
         none is redundant."""
         ncols = len(self.cols)
-        tab = FeasibleBasis(list(self.rows), self.d, list(self.basis), self.nvar, self.cols)
+        tab = FeasibleBasis(list(self.rows), self.d, list(self.basis), self.nvar, self.cols,
+                            self.eps, self.bound)
         for i, bi in enumerate(tab.basis):
             if bi in columns:
                 row = tab.rows[i]
@@ -274,27 +361,51 @@ class FeasibleBasis(_Tableau):
         tab.cols = [self.cols[t] for t in kept]
         return tab
 
+    def _encoded(self, cnorm) -> "FeasibleBasis":
+        """This basis over Z[eps] with bits for a cost row whose largest entry
+        has ||c_j||_1 = cnorm: itself, or the same tableau at a larger Y.  A
+        tableau over Q keeps its entries, which are of degree 0."""
+        r = len(self.rows) + 1
+        bound = self.bound
+        if bound.__class__ is not int:
+            bound = prod(r * max(c, *map(abs, row)) for row, c in bound)
+        bits = (2 * bound * r * cnorm).bit_length()
+        if self.eps is None:
+            return FeasibleBasis(self.rows, self.d, self.basis, self.nvar, self.cols,
+                                 (bits, 0), bound)
+        old, deg = self.eps
+        if bits <= old:
+            return self
+
+        def recode(v):
+            return _encode(_decode(v, deg, old), deg, bits)
+
+        return FeasibleBasis([[recode(v) for v in row] for row in self.rows], recode(self.d),
+                             self.basis, self.nvar, self.cols, (bits, deg), bound)
+
 
 def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
     """A feasible basis of {x >= 0 : A x (senses) b} over nvar variables.
 
-    Works over Z[eps] when some entry of rows or rhs is an EpsRational, else
-    over Z.  Raises Infeasible when there is no nonnegative solution.
+    Works over Z[eps], substituted into Z, when some entry of rows or rhs is
+    an EpsRational, else over Z.  Raises Infeasible when there is no
+    nonnegative solution.
     """
     nrows = len(rows)
     assert len(senses) == nrows and len(rhs) == nrows
     for s in senses:
         if s not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {s!r}")
-    eps = any(EpsRational in set(map(type, vec)) for vec in (rhs, *rows))
-    scale = _scale_eps if eps else _scale_int
-    zero, one = (_PZERO, _PONE) if eps else (0, 1)
 
-    # Each row scaled to Z / Z[eps] by its own c_i > 0, the rhs last.
-    scaled = [scale(list(row) + [b]) for row, b in zip(rows, rhs)]
-    d = one
-    for _, c in scaled:
-        d = d * c
+    # Each row scaled to Z / Z[eps] by its own c_i > 0, the rhs last, and a
+    # row over Z[eps] substituted into Z.
+    if any(EpsRational in set(map(type, vec)) for vec in (rhs, *rows)):
+        scaled, eps, bound = _substitute(
+            [_scale_eps(list(row) + [b]) for row, b in zip(rows, rhs)])
+    else:
+        scaled = [_scale_int(list(row) + [b]) for row, b in zip(rows, rhs)]
+        eps, bound = None, scaled
+    d = prod(c for _, c in scaled)
 
     # Slack/surplus columns for inequalities, then one artificial per row;
     # M = d * T_0, so row i is (d / c_i) times its scaled row.
@@ -308,7 +419,7 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
         # when its rhs is negative, before the artificial is set.
         flip = srow[-1] < 0
         g = -(d // c) if flip else d // c
-        row = [g * v for v in srow[:-1]] + [zero] * (nslack + nrows) + [g * srow[-1]]
+        row = [g * v for v in srow[:-1]] + [0] * (nslack + nrows) + [g * srow[-1]]
         if senses[i] != "=":
             row[nvar + slack_cols.index(i)] = -d if (senses[i] == ">=") != flip else d
         row[nkeep + i] = d
@@ -316,8 +427,8 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
 
     # The face {artificials = 0} of the artificials' basis: minimize their sum.
     artificials = range(nkeep, ncols)
-    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols))
-    optimal, minimum = start._optimize(dict.fromkeys(artificials, one))
+    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols), eps, bound)
+    optimal, minimum = start._optimize(dict.fromkeys(artificials, 1))
     if minimum:
         raise Infeasible("phase 1 optimum is positive")
     return optimal._drop(artificials)
@@ -328,25 +439,27 @@ def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
     solution carries the optimal basis.  c is over all nvar variables."""
     nvar, cols = start.nvar, start.cols
     objective = [objective[j] if j < nvar else 0 for j in cols]
-    eps = start.d.__class__ is _Poly or EpsRational in set(map(type, objective))
-    if eps and start.d.__class__ is int:
-        # An objective over Q(eps) on a tableau over Z: the same entries in Z[eps].
-        rows = [[_Poly((a,)) if a else _PZERO for a in row] for row in start.rows]
-        start = FeasibleBasis(rows, _Poly((start.d,)), start.basis, nvar, cols)
+    sign = -1 if maximize else 1
+    if start.eps is None and EpsRational not in set(map(type, objective)):
+        # The objective scaled to Z by the lcm of its denominators.
+        obj, scale = _scale_int(objective)
+        optimal, minimum = start._optimize({t: sign * v for t, v in enumerate(obj) if v})
+        return LPSolution(Fraction(sign * minimum, scale * optimal.d), optimal)
 
-    # The objective scaled to Z / Z[eps] by the positive lcm of its denominators.
-    obj, scale_obj = (_scale_eps if eps else _scale_int)(objective)
-    optimal, minimum = start._optimize({t: -v if maximize else v for t, v in enumerate(obj) if v})
-    return LPSolution(_convert(-minimum if maximize else minimum, scale_obj * optimal.d), optimal)
+    # Over Q(eps): the objective scaled to Z[eps], on a tableau with bits for
+    # it, then substituted; the optimum's numerator and d decoded apart.
+    obj, scale = _scale_eps(objective)
+    deg = max([len(p.c) - 1 for p in obj] + [0])
+    start = start._encoded(max([_norm(p) for p in obj] + [1]))
+    bits, rows_deg = start.eps
+    optimal, minimum = start._optimize(
+        {t: sign * _encode(p, deg, bits) for t, p in enumerate(obj) if p})
+    value = EpsRational._make(_decode(sign * minimum, rows_deg + deg, bits),
+                              scale * _decode(optimal.d, rows_deg, bits))
+    return LPSolution(value, optimal)
 
 
 def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
     """Optimize c.x over {x >= 0 : A x (senses) b}; exact optimum and witness."""
     return phase2(phase1(rows, senses, rhs, len(objective)), objective, maximize)
 
-
-def _convert(num, den):
-    """num / den back to Fraction, or to EpsRational over Z[eps]."""
-    if num.__class__ is int:
-        return Fraction(num, den)
-    return EpsRational._make(num, den)

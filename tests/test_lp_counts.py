@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from probsyll import (Figure, OpenInterval, canonical_family, check_coherence,
-                      check_g_coherence, extension_bounds)
+                      check_g_coherence, extension_bounds, parse_conditional)
 from probsyll import simplex
 
 F = Fraction
@@ -135,4 +135,32 @@ def test_check_g_coherence_pivots(pivots, families, lower_open, count):
     box = (OpenInterval(F(1, 2), 1, lower_open[0]), OpenInterval(F(1, 2), 1, lower_open[1]),
            OpenInterval.point(0))
     assert check_g_coherence(families["fig1_premise"], box)
+    assert pivots["pivot"] == count
+
+
+# Boxes with two open faces, decided over Q(eps): the Bland path on the
+# substituted tableau.  t = 0 starves B|A, so each takes two I0 levels.
+@pytest.mark.parametrize("figure, count", [
+    (Figure.I, 16),
+    (Figure.II, 17),
+    (Figure.III, 13),
+])
+def test_check_g_coherence_two_open_faces_pivots(pivots, figure, count):
+    box = (OpenInterval(F(1, 2), 1, lower_open=True),
+           OpenInterval(F(1, 2), 1, upper_open=True), OpenInterval.point(0))
+    assert check_g_coherence(canonical_family(figure)[0], box)
+    assert pivots["pivot"] == count
+
+
+# E|H and !E|H are coherent exactly on x + y = 1, which these boxes touch in
+# the one point x = y = 1/2, closed in both boxes or open in the first.
+@pytest.mark.parametrize("first_open, coherent, count", [
+    (False, True, 6),
+    (True, False, 4),
+])
+def test_check_g_coherence_pair_pivots(pivots, first_open, coherent, count):
+    family = (parse_conditional("A & B / C"), parse_conditional("!(A & B) / C"))
+    box = (OpenInterval(F(1, 2), F(3, 4), lower_open=first_open, upper_open=not first_open),
+           OpenInterval(F(1, 2), F(3, 4), upper_open=True))
+    assert check_g_coherence(family, box) is coherent
     assert pivots["pivot"] == count

@@ -331,3 +331,91 @@ class TestFace:
             for row, sense, b in zip(rows, senses, rhs):
                 lhs = sum((a * v for a, v in zip(row, warm.x)), F(0))
                 assert {"<=": lhs <= b, "=": lhs == b, ">=": lhs >= b}[sense]
+
+
+# (a0 + a1*eps + a2*eps^2) / den over a grid of a0, a1, a2 and den, the
+# rationals first so that examples shrink towards them.
+_DEEP = sorted({(a0 + a1 * EPS + a2 * EPS * EPS) / den
+                for a0 in (0, 1, -1, F(1, 2), F(-2, 3), 2)
+                for a1 in (0, 1, -2, F(1, 3))
+                for a2 in (0, 1, F(-3, 2))
+                for den in (1, 1 + EPS, 2 - EPS, 3 + 2 * EPS)},
+               key=lambda v: (not v.is_rational(), repr(v)))
+_deep_entries = st.sampled_from(_DEEP)
+
+
+@st.composite
+def _deep_lps(draw):
+    """<= 3 variables, sum x <= U plus 1-3 rows over deep entries: rows of
+    degree 2 and more in eps, so the tableau's total degree often reaches 6."""
+    nvar = draw(st.integers(1, 3))
+    rows = [[1] * nvar]
+    senses = ["<="]
+    rhs = [draw(_small.map(abs)) + draw(st.sampled_from([0, 1, F(1, 2)])) * EPS * EPS]
+    for _ in range(draw(st.integers(1, 3))):
+        rows.append([draw(_deep_entries) for _ in range(nvar)])
+        senses.append(draw(st.sampled_from(["<=", "=", ">="])))
+        rhs.append(draw(_deep_entries))
+    objective = [draw(_deep_entries) for _ in range(nvar)]
+    return objective, rows, senses, rhs, draw(st.booleans())
+
+
+def _assert_optimal(sol, best, objective, rows, senses, rhs):
+    """sol attains best at a feasible x."""
+    assert sol.value == best
+    assert sum((c * v for c, v in zip(objective, sol.x)), F(0)) == best
+    assert all(v >= 0 for v in sol.x)
+    for row, sense, b in zip(rows, senses, rhs):
+        lhs = sum((a * v for a, v in zip(row, sol.x)), F(0))
+        assert {"<=": lhs <= b, "=": lhs == b, ">=": lhs >= b}[sense]
+
+
+class TestDeepEpsilon:
+    @settings(max_examples=60, deadline=None)
+    @given(_deep_lps())
+    def test_optimum_matches_vertex_enumeration(self, lp):
+        # eps^2 terms and non-constant denominators: the substitution
+        # eps = 2^-bits must keep every sign the tableau over Z[eps] reads.
+        objective, rows, senses, rhs, maximize = lp
+        best = _brute_force(objective, rows, senses, rhs, maximize)
+        if best is None:
+            with pytest.raises(Infeasible):
+                solve_lp(objective, rows, senses, rhs, maximize=maximize)
+            return
+        _assert_optimal(solve_lp(objective, rows, senses, rhs, maximize=maximize),
+                        best, objective, rows, senses, rhs)
+
+
+class TestBitGrowth:
+    # max c x + y  s.t.  x + y <= 1, x <= 1/2 + eps: the one optimum is
+    # x = 1/2 + eps, y = 1/2 - eps whenever c > 1.
+    ROWS, SENSES = [[1, 1], [1, 0]], ["<=", "<="]
+
+    def _check(self, start, objective, rhs):
+        warm = phase2(start, objective, maximize=True)
+        cold = solve_lp(objective, self.ROWS, self.SENSES, rhs, maximize=True)
+        best = _brute_force(objective, self.ROWS, self.SENSES, rhs, True)
+        assert warm.value == cold.value == best
+        assert warm.x == cold.x
+        _assert_optimal(warm, best, objective, self.ROWS, self.SENSES, rhs)
+        return warm
+
+    def test_large_objective_on_eps_tableau(self):
+        # The objective's coefficients dwarf the rows', so its cost row needs
+        # more bits than phase 1 chose: the tableau is re-encoded.
+        rhs = [1, F(1, 2) + EPS]
+        start = phase1(self.ROWS, self.SENSES, rhs, 2)
+        big = 10**40 + 10**40 * EPS
+        warm = self._check(start, [big, 1], rhs)
+        assert warm.x == [F(1, 2) + EPS, F(1, 2) - EPS]
+        assert warm.basis.eps[0] > start.eps[0]
+        # The basis it started from is left as it was.
+        assert phase2(start, [2, 1], maximize=True).value == F(3, 2) + EPS
+
+    def test_eps_objective_on_rational_tableau(self):
+        rhs = [1, F(1, 2)]
+        start = phase1(self.ROWS, self.SENSES, rhs, 2)
+        assert start.eps is None
+        warm = self._check(start, [2 + EPS / (1 + EPS), 1 - EPS * EPS], rhs)
+        assert warm.value == F(3, 2) + EPS / (2 + 2 * EPS) - EPS * EPS / 2
+        assert warm.x == [F(1, 2), F(1, 2)]
