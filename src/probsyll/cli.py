@@ -148,7 +148,10 @@ def load_problem(path: str) -> ProblemFile:
                 ce = parse_conditional(lhs)
                 ce = ConditionalEvent(ce.consequent.substitute(problem.events),
                                       ce.antecedent.substitute(problem.events))
-                problem.assessments.append((ce, parse_value_set(rhs)))
+                values = parse_value_set(rhs)
+                if values.lower < 0 or values.upper > 1:
+                    raise ProblemFileError(f"line {lineno}: {rhs.strip()} is not within [0, 1]")
+                problem.assessments.append((ce, values))
             elif section == "target":
                 ce = parse_conditional(line)
                 problem.target = ConditionalEvent(

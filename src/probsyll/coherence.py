@@ -65,14 +65,13 @@ class InfeasibleSystem(CoherenceError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """rows[i] . lambda (senses[i]) rhs[i] over the masses of table's constituents,
-    with lambda_h = 0 for each h in zero (a face of the system of the rows)."""
+    """rows[i] . lambda (senses[i]) rhs[i] over the masses of table's constituents;
+    a face (see `face`) also holds some masses at zero, which its basis keeps."""
 
     table: ConstituentTable
     rows: tuple  # one entry per constituent C_1..C_m in each row
     senses: tuple  # "=", "<=" or ">=" per row
     rhs: tuple
-    zero: frozenset = frozenset()
 
     @property
     def ncols(self) -> int:
@@ -82,10 +81,9 @@ class LinearSystem:
     def basis(self) -> Optional[FeasibleBasis]:
         """The system's one phase-1 solve, or None if it has no solution."""
         try:
-            basis = phase1(self.rows, self.senses, self.rhs, self.ncols)
+            return phase1(self.rows, self.senses, self.rhs, self.ncols)
         except Infeasible:
             return None
-        return basis.face(self.zero) if self.zero else basis
 
     def witness(self) -> Optional[list]:
         """The phase-1 solution, or None if there is none."""
@@ -107,7 +105,7 @@ class LinearSystem:
         basis = None if self.basis is None else self.basis.face(columns)
         if basis is None:
             return None
-        face = replace(self, zero=self.zero | frozenset(columns))
+        face = replace(self)
         face.__dict__["basis"] = basis  # the cached_property, filled warm
         return face
 

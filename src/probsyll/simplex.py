@@ -2,11 +2,12 @@
 
 Problems are given in the form
 
-    minimize / maximize  c . x
+    minimize / maximize  sum_(j in S) x_j
     subject to           A_i . x  (<= | = | >=)  b_i,   x >= 0,
 
-with entries int, Fraction or EpsRational, and solved exactly: the optimum
-and the witness x come back as Fraction (EpsRational when some entry is one).
+with S a set of variables, passed as a 0/1 objective, and entries of A and b
+int, Fraction or EpsRational.  They are solved exactly: the optimum and the
+witness x come back as Fraction (EpsRational when some entry is one).
 
 The tableau is held over the integers and pivoted by the Bareiss / Edmonds
 integer-preserving rule, so the pivot loop builds no fractions.  Row i of
@@ -23,13 +24,13 @@ M = d * T_0.  A pivot on p = M[r][e] maps
 and every division is exact: the new entries are p * (B'^-1 A)[i][j] and
 |p| = |det B'|, so by Cramer's rule they are minors of the scaled tableau.
 When p < 0 the whole tableau is negated to keep d > 0.  The cost row is the
-last row of M and is pivoted the same way: it holds d times the reduced costs
-(times the positive lcm of the objective's denominators in phase 2), so the
-pivot rule reads only its signs, and its last entry is -d times the optimum.
-Bland's rule (first entering column with a negative reduced cost, ratio test
-by cross-multiplication, ties to the smallest basic index) therefore makes
-the same choices as on the Fraction tableau, and the solver is deterministic,
-terminates, and returns the same optimum, witness and exceptions.
+last row of M and is pivoted the same way: it holds d times the reduced
+costs, so the pivot rule reads only its signs, and its last entry is -d
+times the optimum.  Bland's rule (first entering column with a negative
+reduced cost, ratio test by cross-multiplication, ties to the smallest basic
+index) therefore makes the same choices as on the Fraction tableau, and the
+solver is deterministic, terminates, and returns the same optimum, witness
+and exceptions.
 
 Q(eps) runs on the same integer tableau, with eps = 1/Y and Y = 2^bits.
 Phase 1 scales each row, rhs included, to Z[eps] (the integer polynomials of
@@ -37,23 +38,25 @@ infinitesimals.py): c_i is then a positive common multiple of the row's
 denominators, times any non-constant one.  Row i has degree D_i, the largest
 degree among its entries, its rhs and c_i, and becomes the integer row
 Y^D_i * s_i(1/Y).  Evaluating at 1/Y is a ring map and every division is
-exact, so each integer entry is Y^D * P(1/Y), D = sum_i D_i, for the entry P
-of the tableau over Z[eps] (Y^(D + D_c) for the cost row of an objective of
-degree D_c), provided the pivots are the same.  They are, by this bound.
+exact, so each integer entry, cost row included, is Y^D * P(1/Y),
+D = sum_i D_i, for the entry P of the tableau over Z[eps], provided the
+pivots are the same.  They are, by this bound.
 
 - Every sign and zero test is one minor.  Entries, d, reduced costs, the
   optimum and the tests rhs < 0 (phase 1's row flip), p < 0, cost < 0,
   a > 0 and a != 0 read minors of [S; c] of order <= r = nrows + 1, where S
-  holds the scaled rows (entries, +-c_i, rhs) and c the scaled objective.
-  So does the ratio test: rhs_i * a_l - rhs_l * a_i is d times the rhs that
-  row i would have after pivoting on (l, e), and d > 0.  (p != d in the
-  pivot reads no sign: the integer tableau is exact whichever branch runs.)
+  holds the scaled rows (entries, +-c_i, rhs) and c the costs.  So does the
+  ratio test: rhs_i * a_l - rhs_l * a_i is d times the rhs that row i would
+  have after pivoting on (l, e), and d > 0.  (p != d in the pivot reads no
+  sign: the integer tableau is exact whichever branch runs.)
 - Let ||p||_1 be the sum of |coefficients| of p.  A minor over rows R takes
   one entry per row, so ||P||_1 <= |R|! * prod_(i in R) max_j ||s_ij||_1,
   and as |R| <= r and every factor below is >= 1, that is at most B * C with
       B = prod_i r * max_j ||s_ij||_1   (j over row i's entries, rhs and c_i),
-      C = r * max_j ||c_j||_1           (C = r for phase 1's unit costs).
-  Only each row's largest entry counts, never the width of the row.
+      C = r,
+  since every cost is 0 or +-1, in phase 1 and in phase 2 alike: phase 1's
+  bits serve every phase 2 and face of its basis.  Only each row's largest
+  entry counts, never the width of the row.
 - With 2^bits > 2 * B * C every coefficient of P is below Y/2 in size, so
   P(1/Y) has the sign of P's lowest-order coefficient, its sign for small
   positive eps, and the integer tableau takes the pivots of the one over
@@ -61,25 +64,19 @@ degree D_c), provided the pivots are the same.  They are, by this bound.
   Y^D * P(1/Y), and so do the witness and the optimum, whose numerator and
   d are decoded separately.
 
-Phase 1 picks bits for its own C = r.  A phase 2 whose objective needs more
-bits re-encodes the tableau once, each entry's digits read out at the old Y
-and back in at the new.  A tableau over Q has D = 0, so a Q(eps) objective
-there re-encodes nothing and only picks bits for its cost row; B comes from
-the scaled rows the tableau keeps, and is computed only then.
-
 Redundant equality rows keep their artificial basic at 0 instead of being
 deleted: they are zero on every other column, and deleting one would break
 the exactness of the division by d.
 
 Phase 1, phase 2 and faces share two routines of `FeasibleBasis`:
-`_optimize` runs Bland's rule from a feasible basis for costs over the
-tableau columns, and `_drop` drives given columns out of the basis by
+`_optimize` runs Bland's rule from a feasible basis for unit costs on a set
+of tableau columns, and `_drop` drives given columns out of the basis by
 degenerate pivots, then deletes them.  Deleting non-basic columns keeps
 M / d = B^-1 A exact on the columns left, so later pivots are those of the
 system without them.
 
 Phase 1 is a face: the problem's solutions are the face {artificials = 0} of
-the system with one artificial per row.  `phase1` optimizes the sum of the
+the system with one artificial per row.  `phase1` minimizes the sum of the
 artificials from their identity basis, raises Infeasible on a positive
 minimum and drops them.  It never reads an objective, so one phase 1 serves
 every objective over the same rows: `phase2` optimizes one on a copy of the
@@ -88,8 +85,8 @@ and the optimal basis, from which the vertex is read on demand.  `solve_lp`
 is `phase1` then `phase2`.
 
 A face {x : x_j = 0 for j in J} of the feasible region needs no new phase 1
-either: `FeasibleBasis.face` runs a phase 2 minimizing sum_{j in J} x_j
-(none when the basic solution is already zero on J), reads a positive
+either: `FeasibleBasis.face` minimizes sum_(j in J) x_j from the basis (no
+pivot when the basic solution is already zero on J), reads a positive
 minimum as an empty face, and drops the columns of J.  `cols` names each
 tableau column in the original numbering, so `point`, `support` and
 `phase2` take and return vectors over all nvar variables.
@@ -187,7 +184,7 @@ def _decode(v, deg, bits):
 
 def _substitute(scaled):
     """Rows (s_i, c_i) scaled to Z[eps] as the integer rows Y^D_i * s_i(1/Y),
-    with bits for phase 1's cost row: (rows, (bits, sum_i D_i), B)."""
+    with bits for a cost row of unit costs: (rows, (bits, sum_i D_i))."""
     r = len(scaled) + 1
     degs, bound = [], 1
     for srow, c in scaled:
@@ -196,7 +193,7 @@ def _substitute(scaled):
     bits = (2 * bound * r).bit_length()
     rows = [([_encode(p, deg, bits) for p in srow], _encode(c, deg, bits))
             for (srow, c), deg in zip(scaled, degs)]
-    return rows, (bits, sum(degs)), bound
+    return rows, (bits, sum(degs))
 
 
 class _Tableau:
@@ -258,20 +255,18 @@ class FeasibleBasis(_Tableau):
     cols[t] names tableau column t: variables are < nvar, and the slacks and
     then the artificials come after them.  eps is None over Q, else
     (bits, deg): the tableau over Z[eps], of total row degree deg, at
-    eps = 2^-bits.  bound is the row bound B, or over Q the scaled rows
-    (row, c_i) it is computed from once a Q(eps) objective needs it.
+    eps = 2^-bits.
     """
 
-    __slots__ = ("nvar", "cols", "eps", "bound")
+    __slots__ = ("nvar", "cols", "eps")
 
-    def __init__(self, rows, d, basis, nvar, cols, eps, bound):
+    def __init__(self, rows, d, basis, nvar, cols, eps):
         self.rows = rows
         self.d = d
         self.basis = basis
         self.nvar = nvar
         self.cols = cols
         self.eps = eps
-        self.bound = bound
 
     def support(self) -> set:
         """The variables the basic solution makes positive."""
@@ -283,15 +278,18 @@ class FeasibleBasis(_Tableau):
         x = [Fraction(0)] * self.nvar
         cols, nv = self.cols, bisect(self.cols, self.nvar - 1)
         values = [(cols[bi], row[-1]) for row, bi in zip(self.rows, self.basis) if bi < nv]
+        for (j, _), v in zip(values, self._over_d([v for _, v in values])):
+            x[j] = v
+        return x
+
+    def _over_d(self, nums) -> list:
+        """Each tableau integer in nums divided by d: a Fraction over Q, and
+        over Q(eps) an EpsRational, numerator and d decoded apart."""
         if self.eps is None:
-            for j, v in values:
-                x[j] = Fraction(v, self.d)
-            return x
+            return [Fraction(v, self.d) for v in nums]
         bits, deg = self.eps
         d = _decode(self.d, deg, bits)
-        for j, v in values:
-            x[j] = EpsRational._make(_decode(v, deg, bits), d)
-        return x
+        return [EpsRational._make(_decode(v, deg, bits), d) for v in nums]
 
     def face(self, fixed) -> Optional["FeasibleBasis"]:
         """A feasible basis of the solutions with x_j = 0 for every j in fixed,
@@ -311,26 +309,27 @@ class FeasibleBasis(_Tableau):
             start = solution.basis
         return start._drop({t for t, j in enumerate(start.cols) if j in fixed})
 
-    def _optimize(self, costs):
-        """Bland's rule minimizing sum_t costs[t] x_t from this basis, which is
-        left as it was; costs maps tableau columns to their nonzero integer
-        costs.  Returns the optimal basis and its d times the minimum."""
+    def _optimize(self, columns, maximize=False):
+        """Bland's rule minimizing (maximizing) the sum of the x_t over the
+        tableau columns t in columns from this basis, which is left as it
+        was.  Returns the optimal basis and its d times the optimum."""
         rows, d = self.rows, self.d
-        # The cost row d * (c - c_B B^-1 A): minus c_B times the rows, which
-        # is -d * c_t on a basic column t, then plus d * c.
+        # The cost row d * (c - c_B B^-1 A) of the unit costs c: minus the
+        # rows whose basic column is in columns, then plus d on each of them;
+        # negated to maximize.
         cost = [0] * (len(self.cols) + 1)
         for row, bi in zip(rows, self.basis):
-            f = costs.get(bi, 0)
-            if f == 1:  # all of phase 1's costs: no multiply
+            if bi in columns:
                 cost = [k - a for k, a in zip(cost, row)]
-            elif f:
-                cost = [k - f * a for k, a in zip(cost, row)]
-        for t, v in costs.items():
-            cost[t] += d * v
+        for t in columns:
+            cost[t] += d
+        if maximize:
+            cost = [-k for k in cost]
         tab = FeasibleBasis(list(rows) + [cost], d, list(self.basis), self.nvar, self.cols,
-                            self.eps, self.bound)
+                            self.eps)
         tab.iterate()
-        return tab, -tab.rows.pop()[-1]  # the cost row ends in -d times the minimum
+        value = tab.rows.pop()[-1]  # -d times the minimum of the costs
+        return tab, value if maximize else -value
 
     def _drop(self, columns) -> "FeasibleBasis":
         """This basis with the tableau columns in columns, on which the basic
@@ -339,7 +338,7 @@ class FeasibleBasis(_Tableau):
         none is redundant."""
         ncols = len(self.cols)
         tab = FeasibleBasis(list(self.rows), self.d, list(self.basis), self.nvar, self.cols,
-                            self.eps, self.bound)
+                            self.eps)
         for i, bi in enumerate(tab.basis):
             if bi in columns:
                 row = tab.rows[i]
@@ -361,28 +360,6 @@ class FeasibleBasis(_Tableau):
         tab.cols = [self.cols[t] for t in kept]
         return tab
 
-    def _encoded(self, cnorm) -> "FeasibleBasis":
-        """This basis over Z[eps] with bits for a cost row whose largest entry
-        has ||c_j||_1 = cnorm: itself, or the same tableau at a larger Y.  A
-        tableau over Q keeps its entries, which are of degree 0."""
-        r = len(self.rows) + 1
-        bound = self.bound
-        if bound.__class__ is not int:
-            bound = prod(r * max(c, *map(abs, row)) for row, c in bound)
-        bits = (2 * bound * r * cnorm).bit_length()
-        if self.eps is None:
-            return FeasibleBasis(self.rows, self.d, self.basis, self.nvar, self.cols,
-                                 (bits, 0), bound)
-        old, deg = self.eps
-        if bits <= old:
-            return self
-
-        def recode(v):
-            return _encode(_decode(v, deg, old), deg, bits)
-
-        return FeasibleBasis([[recode(v) for v in row] for row in self.rows], recode(self.d),
-                             self.basis, self.nvar, self.cols, (bits, deg), bound)
-
 
 def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
     """A feasible basis of {x >= 0 : A x (senses) b} over nvar variables.
@@ -400,11 +377,9 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
     # Each row scaled to Z / Z[eps] by its own c_i > 0, the rhs last, and a
     # row over Z[eps] substituted into Z.
     if any(EpsRational in set(map(type, vec)) for vec in (rhs, *rows)):
-        scaled, eps, bound = _substitute(
-            [_scale_eps(list(row) + [b]) for row, b in zip(rows, rhs)])
+        scaled, eps = _substitute([_scale_eps(list(row) + [b]) for row, b in zip(rows, rhs)])
     else:
-        scaled = [_scale_int(list(row) + [b]) for row, b in zip(rows, rhs)]
-        eps, bound = None, scaled
+        scaled, eps = [_scale_int(list(row) + [b]) for row, b in zip(rows, rhs)], None
     d = prod(c for _, c in scaled)
 
     # Slack/surplus columns for inequalities, then one artificial per row;
@@ -427,39 +402,28 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
 
     # The face {artificials = 0} of the artificials' basis: minimize their sum.
     artificials = range(nkeep, ncols)
-    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols), eps, bound)
-    optimal, minimum = start._optimize(dict.fromkeys(artificials, 1))
+    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols), eps)
+    optimal, minimum = start._optimize(artificials)
     if minimum:
         raise Infeasible("phase 1 optimum is positive")
     return optimal._drop(artificials)
 
 
 def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
-    """Optimize c.x from a feasible basis, which is left as it was; the
-    solution carries the optimal basis.  c is over all nvar variables."""
-    nvar, cols = start.nvar, start.cols
-    objective = [objective[j] if j < nvar else 0 for j in cols]
-    sign = -1 if maximize else 1
-    if start.eps is None and EpsRational not in set(map(type, objective)):
-        # The objective scaled to Z by the lcm of its denominators.
-        obj, scale = _scale_int(objective)
-        optimal, minimum = start._optimize({t: sign * v for t, v in enumerate(obj) if v})
-        return LPSolution(Fraction(sign * minimum, scale * optimal.d), optimal)
-
-    # Over Q(eps): the objective scaled to Z[eps], on a tableau with bits for
-    # it, then substituted; the optimum's numerator and d decoded apart.
-    obj, scale = _scale_eps(objective)
-    deg = max([len(p.c) - 1 for p in obj] + [0])
-    start = start._encoded(max([_norm(p) for p in obj] + [1]))
-    bits, rows_deg = start.eps
-    optimal, minimum = start._optimize(
-        {t: sign * _encode(p, deg, bits) for t, p in enumerate(obj) if p})
-    value = EpsRational._make(_decode(sign * minimum, rows_deg + deg, bits),
-                              scale * _decode(optimal.d, rows_deg, bits))
-    return LPSolution(value, optimal)
+    """Minimize (maximize) c.x from a feasible basis, which is left as it
+    was; the solution carries the optimal basis.  c is over all nvar
+    variables, and each entry is 0 or 1: the optimum is the least (greatest)
+    mass on a set of variables.  Raises ValueError on any other entry."""
+    if not set(objective) <= {0, 1}:
+        raise ValueError("phase 2 takes a 0/1 objective")
+    nvar = start.nvar
+    columns = {t for t, j in enumerate(start.cols) if j < nvar and objective[j]}
+    optimal, value = start._optimize(columns, maximize)
+    return LPSolution(optimal._over_d([value])[0], optimal)
 
 
 def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:
-    """Optimize c.x over {x >= 0 : A x (senses) b}; exact optimum and witness."""
+    """Optimize c.x, c a 0/1 objective, over {x >= 0 : A x (senses) b};
+    exact optimum and witness."""
     return phase2(phase1(rows, senses, rhs, len(objective)), objective, maximize)
 

@@ -216,6 +216,15 @@ class TestBadBounds:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["check", "propagate"])
+    def test_reported_as_written(self, tmp_path, capsys, command):
+        # Not the box with its open faces shrunk by eps, nor a grid point.
+        text = "[assess]\nA / B in (0, 2)\n[target]\nC / B\n"
+        code = main([command, write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2" in err and "(0, 2)" in err and "eps" not in err
+
 
 class TestPropagateCommand:
     def test_precise_interval(self, tmp_path, capsys):

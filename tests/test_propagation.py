@@ -3,14 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from probsyll import (
-    ConditionalEvent, Event, ExtensionInterval, Figure, IncoherentPremises, OpenInterval,
+    ExtensionInterval, Figure, IncoherentPremises, OpenInterval,
     canonical_family, check_coherence, extension_bounds, extension_union_sampled,
     figure_bounds, parse_conditional,
 )
-from conftest import unit_fractions, unit_triples
+from conftest import assessed_families, unit_fractions, unit_triples
 
 F = Fraction
 
@@ -128,40 +128,9 @@ class TestSampledUnion:
             extension_union_sampled(fam, box, ce("B / A"))
 
 
-_ATOMS = [Event.atom(name) for name in "ABCD"]
-_literals = st.sampled_from(_ATOMS + [~a for a in _ATOMS])
-_formulas = st.recursive(
-    _literals,
-    lambda inner: st.tuples(inner, inner, st.booleans()).map(
-        lambda t: t[0] & t[1] if t[2] else t[0] | t[1]),
-    max_leaves=4)
-_conditionals = st.builds(ConditionalEvent, _formulas, _formulas.filter(Event.is_satisfiable))
-
-
-@st.composite
-def _assessed_families(draw):
-    """1-3 premises and a target over <= 4 atoms.  Half the assessments are
-    the conditional probabilities of a random distribution over the worlds
-    (coherent), half are drawn freely (often incoherent)."""
-    family = tuple(draw(st.lists(_conditionals, min_size=1, max_size=3)))
-    target = draw(_conditionals)
-    values = [draw(unit_fractions(max_denominator=4)) for _ in family]
-    if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(0, 3), min_size=16, max_size=16))
-        worlds = [dict(zip("ABCD", (w >> k & 1 == 1 for k in range(4)))) for w in range(16)]
-        for j, ce in enumerate(family):
-            inside = [wt for wt, world in zip(weights, worlds)
-                      if ce.antecedent.evaluate(world)]
-            true = [wt for wt, world in zip(weights, worlds)
-                    if ce.antecedent.evaluate(world) and ce.consequent.evaluate(world)]
-            if sum(inside):
-                values[j] = F(sum(true), sum(inside))
-    return family, values, target
-
-
 class TestAgainstFullCoherence:
     @settings(max_examples=150, deadline=None)
-    @given(_assessed_families())
+    @given(assessed_families())
     def test_bounds_are_the_coherent_extensions(self, case):
         # The oracle is the literal criterion (all maxima per I0 level), not
         # the probes: [z', z''] holds exactly the coherent target values.
