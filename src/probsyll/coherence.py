@@ -22,8 +22,10 @@ g-coherent.  I0(lambda) is a strict subset of the indices (the masses sum to
 one), so the recursion terminates.  Both checks run the one recursion
 `_witness`, taking lambda to be the phase-1 witness, one phase 1 and no
 phase 2 per level; I0(lambda) is read from the basic columns with positive
-mass.  method="full" takes I0 = {j : max Phi_j = 0} over all solutions
-(`compute_I0`) instead, the literal criterion, as a reference.
+mass.  Open faces of a box are decided over Q on the system of its closure,
+by the slacks of their rows: lambda is then the average of a few bases,
+found by slack maxima and forced faces (see `check_g_coherence`).  method="full" takes I0 = {j : max Phi_j = 0} over all
+solutions (`compute_I0`) instead, the literal criterion, as a reference.
 
 A `LinearSystem` solves its phase 1 once, on first use, and keeps the basis:
 `witness()` reads it, and `maximum(j)` is a phase 2 from it, so `compute_I0`
@@ -31,9 +33,6 @@ costs one phase 1 and n phase 2s.  `face(columns)` holds some masses at zero
 and derives the face's basis from this one (`FeasibleBasis.face`), with no
 new phase 1; `build_system` may give rows to the leading events of a table's
 family only, so the probes of `propagation` are faces of one premise system.
-
-Open faces of a box are shrunk an infinitesimal eps and decided exactly over
-Q(eps); see `check_g_coherence`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .events import ConstituentTable, LengthMismatch, enumerate_constituents
-from .infinitesimals import EPS, EpsRational
 from .intervals import OpenInterval
 from .simplex import FeasibleBasis, Infeasible, phase1, phase2
 
@@ -109,10 +107,12 @@ class LinearSystem:
         face.__dict__["basis"] = basis  # the cached_property, filled warm
         return face
 
-    def positive(self) -> set:
+    def positive(self, bases=None) -> set:
         """The j with Phi_j(witness) > 0, hence M_j > 0: the events whose H_j
-        holds a constituent that the phase-1 solution gives positive mass."""
-        cells = [self.table.constituents[h].cells for h in self.basis.support()]
+        holds a constituent that the phase-1 solution, or one of bases, gives
+        positive mass."""
+        support = set().union(*(basis.support() for basis in bases or [self.basis]))
+        cells = [self.table.constituents[h].cells for h in support if h < self.ncols]
         return {j for j in range(len(self.table.family)) if any(c[j] is not None for c in cells)}
 
 
@@ -128,8 +128,10 @@ def build_system(table: ConstituentTable, lowers: Sequence, uppers: Sequence) ->
 
     One "=" row per event with lo == hi (a precise value), else a ">= lo" and a
     "<= hi" row, then sum lambda = 1; events past the bounds get no row.
-    Entries are taken from the bounds unchanged, so any exact type with
-    rational semantics works (Fraction, or EpsRational for shrunk open faces).
+    Entries are taken from the bounds unchanged (int or Fraction).  An open
+    face is decided on this closed system: the slack of its row, the column
+    named ncols + k for the k-th inequality row, is sum_{E_jH_j} lambda -
+    lo Phi_j for ">= lo" and hi Phi_j - sum_{E_jH_j} lambda for "<= hi".
     Raises LengthMismatch on more bounds than events, or ValueError unless
     0 <= lo <= hi <= 1.
     """
@@ -162,20 +164,54 @@ def compute_I0(system: LinearSystem) -> I0Result:
     return I0Result(maxima, tuple(j for j, mj in enumerate(maxima) if mj == 0))
 
 
-def _witness(family: tuple, lowers: list, uppers: list, method: str) -> Optional[LinearSystem]:
-    """The box's system if the box holds a coherent point, else None."""
+def _open_bases(system: LinearSystem, lowers: list, uppers: list, opens: list) -> Optional[list]:
+    """Bases of the closed box's system, all on the face of it that holds
+    every solution of the open box's system, whose average meets each open
+    face of an event it gives mass; None if there is no such solution."""
+    faces, column = [], system.ncols  # (j, the slack of each open face's row)
+    for j, (lo, hi, (lower_open, upper_open)) in enumerate(zip(lowers, uppers, opens)):
+        if lo != hi:
+            faces += [(j, column)] * lower_open + [(j, column + 1)] * upper_open
+            column += 2
+    kept, forced, i = [system.basis], set(), 0
+    while i < len(faces):
+        j, slack = faces[i]
+        i += 1
+        if j in forced or any(slack in basis.support() for basis in kept):
+            continue
+        lifted = kept[0].lift(slack)
+        if lifted is not None:
+            kept.append(lifted)
+            continue
+        # The slack's maximum on this face is 0: every solution of the open
+        # box's system has Phi_j = 0.
+        face = kept[0].face(h for h, c in enumerate(system.table.indicators(j)[1]) if c)
+        if face is None:
+            return None
+        kept, i = [face], 0
+        forced.add(j)
+    return kept
+
+
+def _witness(family: tuple, lowers: list, uppers: list, opens: list,
+             method: str) -> Optional[LinearSystem]:
+    """The box's system if the box holds a coherent point, else None; opens[j]
+    tells whether event j's lower and upper faces are open."""
     system = build_system(enumerate_constituents(family), lowers, uppers)
     if system.basis is None:
         return None
     if method == "witness":
-        positive = system.positive()
+        bases = _open_bases(system, lowers, uppers, opens)
+        if bases is None:
+            return None
+        positive = system.positive(bases)
         zero = [j for j in range(len(family)) if j not in positive]
     else:
         zero = compute_I0(system).zero_set
     if zero:
         assert len(zero) < len(family)
         if _witness(tuple(family[j] for j in zero), [lowers[j] for j in zero],
-                    [uppers[j] for j in zero], method) is None:
+                    [uppers[j] for j in zero], [opens[j] for j in zero], method) is None:
             return None
     return system
 
@@ -192,8 +228,8 @@ def _precise(family: Iterable, assessment: Sequence, method: str) -> Optional[Li
         raise ValueError(f"unknown method {method!r}")
     family = tuple(family)
     matched_lengths(family, assessment)
-    values = [Fraction(v) if not isinstance(v, EpsRational) else v for v in assessment]
-    return _witness(family, values, values, method)
+    values = [Fraction(v) for v in assessment]
+    return _witness(family, values, values, [(False, False)] * len(values), method)
 
 
 def coherence_witness(family: Iterable, assessment: Sequence,
@@ -212,16 +248,25 @@ def check_coherence(family: Iterable, assessment: Sequence, method: str = "witne
 def check_g_coherence(family: Iterable, box: Sequence[OpenInterval]) -> bool:
     """True iff some precise point of the box (respecting openness) is coherent.
 
-    Open faces are shrunk an infinitesimal amount and the decision runs exactly
-    over Q(eps); the box is g-coherent iff some eps-shrunk closed sub-box is,
-    and signs in Q(eps) are the eventual signs for small real eps.  Closed
-    faces stay rational, so a closed box is decided over Q alone.
+    Decided over Q on the system K of the box's closure.  On K the slack s of
+    an open face's row is >= 0, and 0 wherever Phi_j = 0, so a solution of K
+    meets the open box at every j with Phi_j > 0 iff s > 0 for each open face
+    of those j; such solutions form a convex set.  An open face is met when
+    some basis kept so far shows s positive, else when a phase 2 maximizing s
+    (`FeasibleBasis.lift`) finds it positive somewhere, and that basis is
+    kept.  A zero maximum means every such solution has Phi_j = 0: the pass
+    restarts on that face of K with only its basis kept, and an empty face
+    means the box is not g-coherent.  Each restart forces one more event, so
+    a level takes at most n restarts; these maxima find the always-active
+    constraints (Freund, Roundy & Todd 1985).  The average of the bases kept
+    meets every open face, and the events whose H_j none of them gives mass
+    form I0, decided by the same recursion with their openness kept.  A box
+    without open faces, as a precise assessment, runs no LP beyond phase 1.
     """
     family = tuple(family)
     matched_lengths(family, box)
-    lowers = [iv.lower + EPS if iv.lower_open else iv.lower for iv in box]
-    uppers = [iv.upper - EPS if iv.upper_open else iv.upper for iv in box]
-    return _witness(family, lowers, uppers, "witness") is not None
+    return _witness(family, [iv.lower for iv in box], [iv.upper for iv in box],
+                    [(iv.lower_open, iv.upper_open) for iv in box], "witness") is not None
 
 
 def grid_points(box: Sequence[OpenInterval], grid_density: int):

@@ -1,7 +1,6 @@
 """Exact arithmetic in Q(eps): rational functions of one positive infinitesimal.
 
-An element is a quotient num / den of integer polynomials in eps (Z[eps], the
-ring the simplex scales its rows to before it substitutes eps = 2^-bits),
+An element is a quotient num / den of integer polynomials in eps (Z[eps]),
 ordered by the sign it eventually takes for small positive real eps.  This
 makes Q(eps) an ordered field extending the rationals with 0 < eps < q for
 every positive rational q.
@@ -14,11 +13,12 @@ x < y and x == y read the sign of num_x * den_y - num_y * den_x; the limit
 and the hash read the leading term (a / b) * eps^(i - j) from the lowest terms
 a*eps^i of num and b*eps^j of den; and the value is rational iff num = c * den.
 
-Strict constraints like "p > 0" become the closed constraint "p >= eps" here;
-running an exact closed-form theorem (or an exact LP) over Q(eps) then answers
-both the limiting value of a bound (standard_part) and whether the bound is
+Its one user is `figures.py`: a strict constraint like "p > 0" becomes the
+closed constraint "p >= eps", and a closed-form bound evaluated over Q(eps)
+then answers both its limiting value (standard_part) and whether it is
 attained for the open constraint (is_rational: no eps-dependence means the
-value is constant for all small real eps, hence attained).
+value is constant for all small real eps, hence attained).  The simplex and
+the coherence checks work over Q alone.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from math import gcd
 class _Poly:
     """An element of Z[eps]: integer coefficients, low order first, no trailing zeros.
 
-    Offers *, +, -, unary -, exact // (the simplex divides by non-constant
-    denominators when it scales a row), truth value, == and the eventual sign.
-    It has no order: EpsRational compares by sign, and the simplex pivots on
-    integers.
+    Offers *, +, -, unary -, exact // by an integer, truth value, == and the
+    eventual sign.  It has no order: EpsRational compares by sign.
     """
 
     __slots__ = ("c",)
@@ -74,27 +72,9 @@ class _Poly:
     def __neg__(self):
         return _Poly(tuple(-x for x in self.c))
 
-    def __floordiv__(self, other):
-        """The quotient of an exact division."""
-        b = other.c
-        if len(b) == 1:
-            k = b[0]
-            return _Poly(tuple(x // k for x in self.c))
-        a = list(self.c)
-        nb, lead = len(b), b[-1]
-        q = [0] * max(len(a) - nb + 1, 0)
-        for k in range(len(q) - 1, -1, -1):
-            t = a[k + nb - 1]
-            if t:
-                qk, rem = divmod(t, lead)
-                if rem:
-                    raise ArithmeticError("inexact division in Z[eps]")
-                q[k] = qk
-                for j, y in enumerate(b):
-                    a[k + j] -= qk * y
-        if any(a):
-            raise ArithmeticError("inexact division in Z[eps]")
-        return _Poly(tuple(q))
+    def __floordiv__(self, k: int):
+        """The quotient of an exact division by the integer k."""
+        return _Poly(tuple(x // k for x in self.c))
 
     def __bool__(self):
         return bool(self.c)
@@ -153,8 +133,7 @@ class EpsRational:
             if den.sign() < 0:
                 g = -g
             if g != 1:
-                k = _Poly((g,))
-                num, den = num // k, den // k
+                num, den = num // g, den // g
         obj = object.__new__(cls)
         obj.num, obj.den = num, den
         return obj

@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over Q and Q(eps), fraction-free, on integers only.
+"""Exact two-phase simplex over Q, fraction-free, on integers only.
 
 Problems are given in the form
 
@@ -6,8 +6,8 @@ Problems are given in the form
     subject to           A_i . x  (<= | = | >=)  b_i,   x >= 0,
 
 with S a set of variables, passed as a 0/1 objective, and entries of A and b
-int, Fraction or EpsRational.  They are solved exactly: the optimum and the
-witness x come back as Fraction (EpsRational when some entry is one).
+int or Fraction.  They are solved exactly: the optimum and the witness x come
+back as Fraction.
 
 The tableau is held over the integers and pivoted by the Bareiss / Edmonds
 integer-preserving rule, so the pivot loop builds no fractions.  Row i of
@@ -32,48 +32,16 @@ index) therefore makes the same choices as on the Fraction tableau, and the
 solver is deterministic, terminates, and returns the same optimum, witness
 and exceptions.
 
-Q(eps) runs on the same integer tableau, with eps = 1/Y and Y = 2^bits.
-Phase 1 scales each row, rhs included, to Z[eps] (the integer polynomials of
-infinitesimals.py): c_i is then a positive common multiple of the row's
-denominators, times any non-constant one.  Row i has degree D_i, the largest
-degree among its entries, its rhs and c_i, and becomes the integer row
-Y^D_i * s_i(1/Y).  Evaluating at 1/Y is a ring map and every division is
-exact, so each integer entry, cost row included, is Y^D * P(1/Y),
-D = sum_i D_i, for the entry P of the tableau over Z[eps], provided the
-pivots are the same.  They are, by this bound.
-
-- Every sign and zero test is one minor.  Entries, d, reduced costs, the
-  optimum and the tests rhs < 0 (phase 1's row flip), p < 0, cost < 0,
-  a > 0 and a != 0 read minors of [S; c] of order <= r = nrows + 1, where S
-  holds the scaled rows (entries, +-c_i, rhs) and c the costs.  So does the
-  ratio test: rhs_i * a_l - rhs_l * a_i is d times the rhs that row i would
-  have after pivoting on (l, e), and d > 0.  (p != d in the pivot reads no
-  sign: the integer tableau is exact whichever branch runs.)
-- Let ||p||_1 be the sum of |coefficients| of p.  A minor over rows R takes
-  one entry per row, so ||P||_1 <= |R|! * prod_(i in R) max_j ||s_ij||_1,
-  and as |R| <= r and every factor below is >= 1, that is at most B * C with
-      B = prod_i r * max_j ||s_ij||_1   (j over row i's entries, rhs and c_i),
-      C = r,
-  since every cost is 0 or +-1, in phase 1 and in phase 2 alike: phase 1's
-  bits serve every phase 2 and face of its basis.  Only each row's largest
-  entry counts, never the width of the row.
-- With 2^bits > 2 * B * C every coefficient of P is below Y/2 in size, so
-  P(1/Y) has the sign of P's lowest-order coefficient, its sign for small
-  positive eps, and the integer tableau takes the pivots of the one over
-  Z[eps].  P comes back exactly from the D + 1 balanced base-Y digits of
-  Y^D * P(1/Y), and so do the witness and the optimum, whose numerator and
-  d are decoded separately.
-
 Redundant equality rows keep their artificial basic at 0 instead of being
 deleted: they are zero on every other column, and deleting one would break
 the exactness of the division by d.
 
-Phase 1, phase 2 and faces share two routines of `FeasibleBasis`:
-`_optimize` runs Bland's rule from a feasible basis for unit costs on a set
-of tableau columns, and `_drop` drives given columns out of the basis by
-degenerate pivots, then deletes them.  Deleting non-basic columns keeps
-M / d = B^-1 A exact on the columns left, so later pivots are those of the
-system without them.
+Phase 1, phase 2, faces and slack maxima share two routines of
+`FeasibleBasis`: `_optimize` runs Bland's rule from a feasible basis for unit
+costs on a set of tableau columns, and `_drop` drives given columns out of
+the basis by degenerate pivots, then deletes them.  Deleting non-basic
+columns keeps M / d = B^-1 A exact on the columns left, so later pivots are
+those of the system without them.
 
 Phase 1 is a face: the problem's solutions are the face {artificials = 0} of
 the system with one artificial per row.  `phase1` minimizes the sum of the
@@ -89,7 +57,10 @@ either: `FeasibleBasis.face` minimizes sum_(j in J) x_j from the basis (no
 pivot when the basic solution is already zero on J), reads a positive
 minimum as an empty face, and drops the columns of J.  `cols` names each
 tableau column in the original numbering, so `point`, `support` and
-`phase2` take and return vectors over all nvar variables.
+`phase2` take and return vectors over all nvar variables.  The slack of the
+k-th inequality row is named nvar + k: `support` lists the slacks that the
+basic solution makes positive, and `FeasibleBasis.lift` maximizes one, so a
+strict inequality A_i . x > b_i is decided on the closed system's basis.
 """
 
 from __future__ import annotations
@@ -99,8 +70,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Optional
-
-from .infinitesimals import EpsRational, _Poly
 
 
 class LPError(Exception):
@@ -132,68 +101,6 @@ def _scale_int(values):
     if c == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (c // v.denominator) for v in values], c
-
-
-def _eps_parts(v):
-    """v = num / den over Z[eps], den > 0: an EpsRational's own polynomials."""
-    if isinstance(v, EpsRational):
-        return v.num, v.den
-    return _Poly((v.numerator,) if v else ()), _Poly((v.denominator,))
-
-
-def _scale_eps(values):
-    """values times a positive common multiple c of their denominators, in Z[eps]."""
-    parts = [_eps_parts(v) for v in values]
-    c = _Poly((lcm(*[den.c[0] for _, den in parts if len(den.c) == 1]),))
-    for den in dict.fromkeys(den.c for _, den in parts if len(den.c) > 1):
-        c = c * _Poly(den)
-    return [num * (c // den) for num, den in parts], c
-
-
-def _norm(p):
-    """||p||_1, the sum of the sizes of p's coefficients."""
-    return sum(map(abs, p.c))
-
-
-def _encode(p, deg, bits):
-    """Y^deg * p(1/Y) for Y = 2^bits and p in Z[eps] of degree <= deg."""
-    v = 0
-    for x in p.c:
-        v = (v << bits) + x
-    return v << bits * (deg + 1 - len(p.c))
-
-
-def _decode(v, deg, bits):
-    """The p in Z[eps] of degree <= deg with Y^deg * p(1/Y) = v, Y = 2^bits,
-    read from the deg + 1 balanced base-Y digits of v, which are p's
-    coefficients when each is below Y/2 in size."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    digits = []  # eps^deg first
-    for _ in range(deg + 1):
-        t = v & mask
-        if t >= half:
-            t -= mask + 1
-        digits.append(t)
-        v = (v - t) >> bits
-    assert not v, "a coefficient exceeds the bound"
-    digits.reverse()
-    while digits and not digits[-1]:
-        digits.pop()
-    return _Poly(tuple(digits))
-
-
-def _substitute(scaled):
-    """Rows (s_i, c_i) scaled to Z[eps] as the integer rows Y^D_i * s_i(1/Y),
-    with bits for a cost row of unit costs: (rows, (bits, sum_i D_i))."""
-    r = len(scaled) + 1
-    degs, bound = [], 1
-    for srow, c in scaled:
-        degs.append(max(len(p.c) for p in (*srow, c)) - 1)
-        bound *= r * max(map(_norm, (*srow, c)))
-    bits = (2 * bound * r).bit_length()
-    rows = [([_encode(p, deg, bits) for p in srow], _encode(c, deg, bits))
-            for (srow, c), deg in zip(scaled, degs)]
-    return rows, (bits, sum(degs))
 
 
 class _Tableau:
@@ -253,43 +160,32 @@ class FeasibleBasis(_Tableau):
     deleted columns, and basis[i] is its basic tableau column (an index >=
     len(cols) for a redundant row, which is zero on every column left).
     cols[t] names tableau column t: variables are < nvar, and the slacks and
-    then the artificials come after them.  eps is None over Q, else
-    (bits, deg): the tableau over Z[eps], of total row degree deg, at
-    eps = 2^-bits.
+    then the artificials come after them.
     """
 
-    __slots__ = ("nvar", "cols", "eps")
+    __slots__ = ("nvar", "cols")
 
-    def __init__(self, rows, d, basis, nvar, cols, eps):
+    def __init__(self, rows, d, basis, nvar, cols):
         self.rows = rows
         self.d = d
         self.basis = basis
         self.nvar = nvar
         self.cols = cols
-        self.eps = eps
 
     def support(self) -> set:
-        """The variables the basic solution makes positive."""
-        cols, nv = self.cols, bisect(self.cols, self.nvar - 1)  # variables come first
-        return {cols[bi] for row, bi in zip(self.rows, self.basis) if bi < nv and row[-1]}
+        """The columns, by name, that the basic solution makes positive: the
+        variables, and the slack of the k-th inequality row as nvar + k."""
+        cols = self.cols
+        return {cols[bi] for row, bi in zip(self.rows, self.basis) if bi < len(cols) and row[-1]}
 
     def point(self) -> list:
-        """The basic solution x, as Fraction (EpsRational over Q(eps))."""
+        """The basic solution x, as Fraction."""
         x = [Fraction(0)] * self.nvar
-        cols, nv = self.cols, bisect(self.cols, self.nvar - 1)
-        values = [(cols[bi], row[-1]) for row, bi in zip(self.rows, self.basis) if bi < nv]
-        for (j, _), v in zip(values, self._over_d([v for _, v in values])):
-            x[j] = v
+        cols, nv = self.cols, bisect(self.cols, self.nvar - 1)  # variables come first
+        for row, bi in zip(self.rows, self.basis):
+            if bi < nv:
+                x[cols[bi]] = Fraction(row[-1], self.d)
         return x
-
-    def _over_d(self, nums) -> list:
-        """Each tableau integer in nums divided by d: a Fraction over Q, and
-        over Q(eps) an EpsRational, numerator and d decoded apart."""
-        if self.eps is None:
-            return [Fraction(v, self.d) for v in nums]
-        bits, deg = self.eps
-        d = _decode(self.d, deg, bits)
-        return [EpsRational._make(_decode(v, deg, bits), d) for v in nums]
 
     def face(self, fixed) -> Optional["FeasibleBasis"]:
         """A feasible basis of the solutions with x_j = 0 for every j in fixed,
@@ -309,6 +205,13 @@ class FeasibleBasis(_Tableau):
             start = solution.basis
         return start._drop({t for t, j in enumerate(start.cols) if j in fixed})
 
+    def lift(self, column) -> Optional["FeasibleBasis"]:
+        """A feasible basis whose solution makes the named column positive,
+        by Bland's rule maximizing it from this basis, or None when its
+        maximum is 0.  Columns are named as in `support`."""
+        optimal, value = self._optimize({self.cols.index(column)}, maximize=True)
+        return optimal if value else None
+
     def _optimize(self, columns, maximize=False):
         """Bland's rule minimizing (maximizing) the sum of the x_t over the
         tableau columns t in columns from this basis, which is left as it
@@ -325,8 +228,7 @@ class FeasibleBasis(_Tableau):
             cost[t] += d
         if maximize:
             cost = [-k for k in cost]
-        tab = FeasibleBasis(list(rows) + [cost], d, list(self.basis), self.nvar, self.cols,
-                            self.eps)
+        tab = FeasibleBasis(list(rows) + [cost], d, list(self.basis), self.nvar, self.cols)
         tab.iterate()
         value = tab.rows.pop()[-1]  # -d times the minimum of the costs
         return tab, value if maximize else -value
@@ -337,8 +239,7 @@ class FeasibleBasis(_Tableau):
         first pivots on its first nonzero entry in a column kept; a row with
         none is redundant."""
         ncols = len(self.cols)
-        tab = FeasibleBasis(list(self.rows), self.d, list(self.basis), self.nvar, self.cols,
-                            self.eps)
+        tab = FeasibleBasis(list(self.rows), self.d, list(self.basis), self.nvar, self.cols)
         for i, bi in enumerate(tab.basis):
             if bi in columns:
                 row = tab.rows[i]
@@ -364,9 +265,7 @@ class FeasibleBasis(_Tableau):
 def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
     """A feasible basis of {x >= 0 : A x (senses) b} over nvar variables.
 
-    Works over Z[eps], substituted into Z, when some entry of rows or rhs is
-    an EpsRational, else over Z.  Raises Infeasible when there is no
-    nonnegative solution.
+    Raises Infeasible when there is no nonnegative solution.
     """
     nrows = len(rows)
     assert len(senses) == nrows and len(rhs) == nrows
@@ -374,12 +273,8 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
         if s not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {s!r}")
 
-    # Each row scaled to Z / Z[eps] by its own c_i > 0, the rhs last, and a
-    # row over Z[eps] substituted into Z.
-    if any(EpsRational in set(map(type, vec)) for vec in (rhs, *rows)):
-        scaled, eps = _substitute([_scale_eps(list(row) + [b]) for row, b in zip(rows, rhs)])
-    else:
-        scaled, eps = [_scale_int(list(row) + [b]) for row, b in zip(rows, rhs)], None
+    # Each row scaled to Z by its own c_i > 0, the rhs last.
+    scaled = [_scale_int(list(row) + [b]) for row, b in zip(rows, rhs)]
     d = prod(c for _, c in scaled)
 
     # Slack/surplus columns for inequalities, then one artificial per row;
@@ -402,7 +297,7 @@ def phase1(rows, senses, rhs, nvar) -> FeasibleBasis:
 
     # The face {artificials = 0} of the artificials' basis: minimize their sum.
     artificials = range(nkeep, ncols)
-    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols), eps)
+    start = FeasibleBasis(M, d, list(artificials), nvar, range(ncols))
     optimal, minimum = start._optimize(artificials)
     if minimum:
         raise Infeasible("phase 1 optimum is positive")
@@ -419,7 +314,7 @@ def phase2(start: FeasibleBasis, objective, maximize=False) -> LPSolution:
     nvar = start.nvar
     columns = {t for t, j in enumerate(start.cols) if j < nvar and objective[j]}
     optimal, value = start._optimize(columns, maximize)
-    return LPSolution(optimal._over_d([value])[0], optimal)
+    return LPSolution(Fraction(value, optimal.d), optimal)
 
 
 def solve_lp(objective, rows, senses, rhs, maximize=False) -> LPSolution:

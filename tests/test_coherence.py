@@ -1,13 +1,15 @@
 """Coherence of precise assessments; g-coherence of boxes."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probsyll import (
-    InfeasibleSystem, LengthMismatch, OpenInterval, TOP,
+    ConditionalEvent, Event, InfeasibleSystem, LengthMismatch, OpenInterval, TOP,
     build_system, check_coherence, check_g_coherence,
     compute_I0, enumerate_constituents, parse_conditional,
 )
@@ -24,6 +26,52 @@ def ce(text):
 def points(values):
     """The box of closed point intervals at values."""
     return tuple(OpenInterval.point(v) for v in values)
+
+
+_LITERALS = [Event.atom(a) for a in "ABCD"]
+_LITERALS += [~a for a in _LITERALS]
+_WORLDS = [dict(zip("ABCD", (w >> k & 1 == 1 for k in range(4)))) for w in range(16)]
+_OFFSETS = (0, F(1, 4), F(-1, 4), F(1, 8), F(-1, 8))
+
+
+def _seeded_formula(rng):
+    """A literal joined to 0-2 more by & or |."""
+    formula = rng.choice(_LITERALS)
+    for _ in range(rng.randint(0, 2)):
+        other = rng.choice(_LITERALS)
+        formula = formula & other if rng.random() < 0.5 else formula | other
+    return formula
+
+
+def seeded_boxes(seed):
+    """Boxes of 1-4 events over <= 4 atoms, without end.  Each face lies at,
+    or 1/4 or 1/8 off, the value that a random distribution over the worlds
+    gives the event (a coherent point), clipped to [0, 1] and open at random."""
+    rng = random.Random(seed)
+    while True:
+        family, size = [], rng.randint(1, 4)
+        while len(family) < size:
+            antecedent = _seeded_formula(rng)
+            if antecedent.is_satisfiable():
+                family.append(ConditionalEvent(_seeded_formula(rng), antecedent))
+        weights = [rng.randint(0, 3) for _ in _WORLDS]
+        box = []
+        for event in family:
+            cells = [(event.value_in(world), weight) for world, weight in zip(_WORLDS, weights)]
+            inside = sum(weight for cell, weight in cells if cell is not None)
+            true = sum(weight for cell, weight in cells if cell)
+            v = F(true, inside) if inside else F(rng.randint(0, 4), 4)
+            lo, hi = sorted(min(max(v + rng.choice(_OFFSETS), 0), 1) for _ in range(2))
+            box.append(OpenInterval.point(lo) if lo == hi else
+                       OpenInterval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        yield tuple(family), tuple(box)
+
+
+GOLDEN_VERDICTS = (
+    "baffc8fb6fddf7ebea3d4f51feed9bdf6f1ffbedec7f6d7df73dfe638bf74b79eb7f5ef7daddf99e7ffd9f91"
+    "95bbdfddfb3bddfe78fdd6f36dbefd7f7abfbfebeefae69ef22d5fff3d3ded85afbfcd7f547f97a3aff63ff7"
+    "fbd9cde3ad6af8fbfd1efe9e0e3d9f65ffd73f6f4ffeefef7f7b70f33fbedddfdfc99b8fbf"
+)
 
 
 @st.composite
@@ -233,6 +281,32 @@ class TestGCoherence:
         fam = families["fig2_premise"]
         assert check_g_coherence(fam, points(values)) == \
             check_coherence(fam, list(values), method="full")
+
+    def test_open_face_forced_in_sub_box(self):
+        # p(!A|A) = 0 is the only coherent value, so (0, 1/4) excludes it
+        # and [0, 1/4) holds it; !D|C is free within [1/12, 5/24].
+        fam = [ce("!D / C"), ce("!A / A")]
+        first = OpenInterval.closed(F(1, 12), F(5, 24))
+        assert not check_g_coherence(fam, (first, OpenInterval(0, F(1, 4), True, True)))
+        assert check_g_coherence(fam, (first, OpenInterval(0, F(1, 4), upper_open=True)))
+
+    def test_seeded_boxes_golden(self):
+        # Verdicts on the first 1,000 seeded boxes, bit i for box i, as
+        # decided with every open face shrunk by an infinitesimal over Q(eps).
+        verdicts = [check_g_coherence(fam, box) for fam, box in islice(seeded_boxes(1), 1000)]
+        golden = int(GOLDEN_VERDICTS, 16)
+        assert [i for i, v in enumerate(verdicts) if v != (golden >> i & 1)] == []
+
+    def test_wide_open_box(self):
+        # 7 events over 12 atoms, every face open: a top system of 15 rows
+        # over 351 constituents, whose open faces are slack maxima over Q.
+        lines = [("C & E / J | B", 1, 3, 8, 11), ("H & D / K | G", 1, 3, 8, 10),
+                 ("G & A / L | J", 1, 8, 8, 11), ("L & B / D | J", 1, 5, 5, 10),
+                 ("A & A / K | I", 1, 6, 6, 11), ("L & D / A | I", 1, 9, 8, 11),
+                 ("I & D / D | F", 1, 8, 6, 11)]
+        fam = [ce(text) for text, *_ in lines]
+        box = [OpenInterval(F(a, b), F(c, d), True, True) for _, a, b, c, d in lines]
+        assert check_g_coherence(fam, box)
 
     @settings(max_examples=60, deadline=None)
     @given(intervals(), intervals())

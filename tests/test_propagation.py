@@ -7,7 +7,8 @@ from hypothesis import given, settings
 
 from probsyll import (
     ExtensionInterval, Figure, IncoherentPremises, OpenInterval,
-    canonical_family, check_coherence, extension_bounds, extension_union_sampled,
+    canonical_family, check_coherence, check_g_coherence, extension_bounds,
+    extension_union_sampled,
     figure_bounds, parse_conditional,
 )
 from conftest import assessed_families, unit_fractions, unit_triples
@@ -146,3 +147,12 @@ class TestAgainstFullCoherence:
         for z in (bounds.lower - F(1, 1000), bounds.upper + F(1, 1000)):
             if 0 <= z <= 1:
                 assert not check_coherence(extended, values + [z], method="full")
+        # Exactly: no target value below z' or above z'' is coherent, i.e.
+        # the premises times [0, z') and times (z'', 1] are not g-coherent.
+        premises = tuple(OpenInterval.point(v) for v in values)
+        if bounds.lower > 0:
+            below = OpenInterval(0, bounds.lower, upper_open=True)
+            assert not check_g_coherence(extended, premises + (below,))
+        if bounds.upper < 1:
+            above = OpenInterval(bounds.upper, 1, lower_open=True)
+            assert not check_g_coherence(extended, premises + (above,))
